@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <typeinfo>
 #include <vector>
 
 #include "check/contracts.h"
@@ -104,16 +103,6 @@ class PdpPolicy : public ReplacementPolicy, public telemetry::Source
 
     void auditGlobal(InvariantReporter &reporter) const override;
     void auditSet(uint32_t set, InvariantReporter &reporter) const override;
-
-    /** Static PDP only: RPD aging against a fixed PD is pure per-set
-     *  state.  Dynamic PDP couples sets through the RD sampler and the
-     *  recompute clock, and subclasses (the partitioned variant) add
-     *  per-thread global state, so neither may claim set-locality. */
-    bool
-    setLocal() const override
-    {
-        return !params_.dynamic && typeid(*this) == typeid(PdpPolicy);
-    }
 
     /** Epoch telemetry: PD, RDD histogram and the E(d_p) curve. */
     void telemetrySnapshot(telemetry::Snapshot &out) const override;

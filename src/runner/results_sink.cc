@@ -451,47 +451,67 @@ ResultsSink::jsonDirectory()
     return value;
 }
 
+std::string
+ResultsSink::outputDirectory(const std::string &directory)
+{
+    const std::string dir = directory.empty() ? jsonDirectory() : directory;
+    return dir == "none" || dir == "0" ? "" : dir;
+}
+
+namespace
+{
+
+/** `name` inside `directory`'s resolved output directory, or "" when
+ *  output is disabled.  Fills *pathOut whenever a path results. */
+std::string
+outputPath(const std::string &directory, const std::string &name,
+           std::string *pathOut)
+{
+    std::string dir = ResultsSink::outputDirectory(directory);
+    if (dir.empty())
+        return "";
+    if (dir.back() != '/')
+        dir += '/';
+    const std::string path = dir + name;
+    if (pathOut)
+        *pathOut = path;
+    return path;
+}
+
+} // namespace
+
 bool
 ResultsSink::writeFile(const std::string &directory,
                        std::string *pathOut) const
 {
-    std::string dir = directory.empty() ? jsonDirectory() : directory;
-    if (dir.empty() || dir == "none" || dir == "0")
+    const std::string path = outputPath(directory, fileName(), pathOut);
+    if (path.empty())
         return false;
-    if (dir.back() != '/')
-        dir += '/';
     bool deterministic = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         deterministic = deterministicFile_;
     }
-    const std::string path = dir + fileName();
     std::ofstream out(path);
     if (!out)
         return false;
     out << toJson(/*includeVolatile=*/!deterministic).dump(2) << '\n';
-    if (!out)
-        return false;
-    if (pathOut)
-        *pathOut = path;
-    return true;
+    return static_cast<bool>(out);
 }
 
 bool
 ResultsSink::writeTraceFile(const std::string &directory,
                             std::string *pathOut) const
 {
-    std::string dir = directory.empty() ? jsonDirectory() : directory;
-    if (dir.empty() || dir == "none" || dir == "0")
+    const std::string path =
+        outputPath(directory, traceFileName(), pathOut);
+    if (path.empty())
         return false;
-    if (dir.back() != '/')
-        dir += '/';
     bool deterministic = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         deterministic = deterministicFile_;
     }
-    const std::string path = dir + traceFileName();
     std::ofstream out(path);
     if (!out)
         return false;
@@ -529,11 +549,7 @@ ResultsSink::writeTraceFile(const std::string &directory,
             out << line.dump() << '\n';
         }
     }
-    if (!out)
-        return false;
-    if (pathOut)
-        *pathOut = path;
-    return true;
+    return static_cast<bool>(out);
 }
 
 } // namespace runner

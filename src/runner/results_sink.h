@@ -154,9 +154,10 @@ class ResultsSink
 
     /**
      * Write the document into `directory` ("" uses jsonDirectory()).
-     * Returns false (without writing) when JSON output is disabled or
-     * the file cannot be created; stores the path written to in
-     * *pathOut on success.
+     * Returns false when output is disabled (outputDirectory() is "";
+     * nothing is attempted) or the file cannot be written.  Whenever
+     * output is enabled, *pathOut receives the target path, so a caller
+     * can name the file of a failed write.
      */
     bool writeFile(const std::string &directory = "",
                    std::string *pathOut = nullptr) const;
@@ -169,6 +170,14 @@ class ResultsSink
     static std::string jsonDirectory();
 
     /**
+     * The directory writeFile()/writeTraceFile() resolve `directory` to:
+     * "" uses jsonDirectory(), and "none"/"0" disable output.  Returns
+     * "" exactly when output is disabled, which tells a disabled write
+     * apart from a failed one.
+     */
+    static std::string outputDirectory(const std::string &directory);
+
+    /**
      * Flush every record's trace events as JSONL into
      * `directory`/TRACE_<experiment>.jsonl: one header line ("schema":
      * "pdp-bench-trace/v1") then one line per event, tagged with its job
@@ -176,7 +185,7 @@ class ResultsSink
      * dropped under setDeterministicFile(true) so the trace stream —
      * request-lifecycle spans, SLO burn events and all — is a determinism
      * surface CI can byte-compare across worker counts.  Returns false
-     * when disabled or the file cannot be created.
+     * and fills *pathOut exactly as writeFile() does.
      */
     bool writeTraceFile(const std::string &directory = "",
                         std::string *pathOut = nullptr) const;

@@ -10,7 +10,6 @@
 #include "cache/hierarchy.h"
 #include "check/flight_recorder.h"
 #include "cache/reference_cache.h"
-#include "cache/shard_view.h"
 #include "core/pdp_policy.h"
 #include "model/analytic_model.h"
 #include "policies/rrip.h"
@@ -18,7 +17,6 @@
 #include "service/scenario.h"
 #include "sim/lockstep_sweep.h"
 #include "sim/policy_factory.h"
-#include "sim/sharded_sim.h"
 #include "sim/static_pd_search.h"
 #include "telemetry/metrics.h"
 #include "trace/rdd_fingerprint.h"
@@ -96,11 +94,11 @@ singleCoreJob(std::string key, std::string benchmark,
     job.run = [benchmark = std::move(benchmark), makePol = std::move(makePol),
                config](const JobContext &ctx) {
         auto gen = SpecSuite::make(benchmark, ctx.seed);
+        Hierarchy hierarchy(config.hierarchy, makePol());
+        if (config.withPrefetcher)
+            hierarchy.attachPrefetcher(std::make_unique<StreamPrefetcher>());
         JobOutcome outcome;
-        // Dispatches to the set-sharded driver when config.llcShards > 1
-        // and the policy allows it; plain sequential Hierarchy otherwise.
-        // Byte-identical either way (sim/sharded_sim.h).
-        outcome.single = runSingleCoreAuto(*gen, config, makePol);
+        outcome.single = runSingleCore(*gen, hierarchy, config);
         return outcome;
     };
     return job;
@@ -207,7 +205,6 @@ scaledConfig(const SuiteOptions &options, uint64_t accesses = 3'000'000,
     config.accesses = accesses;
     config.warmup = warmup;
     config.telemetry = telemetryConfig(options);
-    config.llcShards = options.shards;
     return config.scaled(options.scale);
 }
 
@@ -1107,6 +1104,20 @@ hotpathTarget(double scale)
     return std::max<uint64_t>(2'000'000, static_cast<uint64_t>(scaled));
 }
 
+/** Wall-clock seconds one call of `work` takes. */
+template <typename Work>
+double
+secondsOf(Work &&work)
+{
+    // pdplint: allow(wall-clock) hotpath suite measures throughput; the
+    // rate lands only in the volatile metrics section.
+    const auto t0 = std::chrono::steady_clock::now();
+    work();
+    // pdplint: allow(wall-clock) end of the same timed span.
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(t1 - t0).count();
+}
+
 /**
  * Walk `count` accesses of `trace` starting at *cursor (wrapping), and
  * return the wall-clock seconds the walk took.  *cursor advances so
@@ -1126,24 +1137,64 @@ timedSegment(const std::vector<uint64_t> &trace, size_t *cursor,
 {
     const size_t n = trace.size();
     size_t i = *cursor;
-    // pdplint: allow(wall-clock) hotpath suite measures throughput; the
-    // rate lands only in the volatile metrics section.
-    const auto t0 = std::chrono::steady_clock::now();
-    for (uint64_t k = 0; k < count; ++k) {
-        const uint64_t addr = trace[i];
-        i = i + 1 == n ? 0 : i + 1;
-        access(addr, trace[i]);
-    }
+    const double seconds = secondsOf([&] {
+        for (uint64_t k = 0; k < count; ++k) {
+            const uint64_t addr = trace[i];
+            i = i + 1 == n ? 0 : i + 1;
+            access(addr, trace[i]);
+        }
+    });
     *cursor = i;
-    // pdplint: allow(wall-clock) end of the same timed segment.
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
+    return seconds;
 }
 
 /** Pairs of interleaved A/B segments in one paired measurement (odd, so
  *  the median ratio is a real pair's ratio). */
 constexpr int kHotpathPairs = 5;
+
+/** Interleaved pairs in the sweep/explore measurements (odd; fewer than
+ *  kHotpathPairs because each side is a full multi-config sweep). */
+constexpr int kSweepPairs = 3;
+
+/** Result of one paired A/B measurement. */
+struct PairedTiming
+{
+    /** Median of the per-pair time ratios; 0 when no pair timed both
+     *  sides above zero. */
+    double medianRatio = 0.0;
+    /** Each side's seconds, summed over the pairs. */
+    double secondsA = 0.0;
+    double secondsB = 0.0;
+};
+
+/**
+ * The paired measurement every ratio row of the hotpath suite rests on.
+ * Wall-clock rates on a shared machine drift by integer factors between
+ * phases, so a ratio of two rates measured apart is meaningless.  Each
+ * pair therefore runs side A, then side B, back to back (each closure
+ * returns the seconds its timed work took), so both sides see the same
+ * machine weather; the median over pairs sheds the odd descheduled
+ * segment.  The per-pair ratio is A/B seconds, or B/A when `bOverA`.
+ */
+template <typename SideA, typename SideB>
+PairedTiming
+pairedMedian(int pairs, SideA &&sideA, SideB &&sideB, bool bOverA = false)
+{
+    PairedTiming timing;
+    std::vector<double> ratios;
+    for (int pair = 0; pair < pairs; ++pair) {
+        const double a = sideA();
+        const double b = sideB();
+        timing.secondsA += a;
+        timing.secondsB += b;
+        if (a > 0 && b > 0)
+            ratios.push_back(bOverA ? b / a : a / b);
+    }
+    std::sort(ratios.begin(), ratios.end());
+    if (!ratios.empty())
+        timing.medianRatio = ratios[ratios.size() / 2];
+    return timing;
+}
 
 void
 hotpathMetrics(JobOutcome &outcome, uint64_t done, double seconds,
@@ -1157,15 +1208,9 @@ hotpathMetrics(JobOutcome &outcome, uint64_t done, double seconds,
 
 /**
  * Throughput of the live (SoA) Cache under a single-core policy,
- * measured against an in-job AoS twin.
- *
- * Wall-clock rates on a shared machine drift by integer factors between
- * phases, so a ratio of two rates measured in different jobs (possibly
- * minutes apart) is meaningless.  Each job therefore drives the live
- * cache and a private ReferenceCache through the same stream in
- * interleaved timed segments and reports the median of the per-pair
- * ratios as `vs_aos` — both sides of every pair see the same machine
- * weather, and the median sheds the odd descheduled segment.
+ * measured against an in-job AoS twin: the live cache and a private
+ * ReferenceCache walk the same stream in interleaved timed segments
+ * (pairedMedian), and `vs_aos` is the median AoS/SoA time ratio.
  */
 Job
 hotpathCacheJob(std::string key, std::string policySpec, double scale)
@@ -1204,26 +1249,20 @@ hotpathCacheJob(std::string key, std::string policySpec, double scale)
 
         const uint64_t seg =
             std::max<uint64_t>(hotpathTarget(scale) / kHotpathPairs, 1);
-        double soa_seconds = 0.0, aos_seconds = 0.0;
-        std::vector<double> ratios;
-        uint64_t done = 0;
-        for (int pair = 0; pair < kHotpathPairs; ++pair) {
-            const double s = timedSegment(trace, &soa_cursor, seg, soa);
-            const double a = timedSegment(trace, &aos_cursor, seg, aos);
-            soa_seconds += s;
-            aos_seconds += a;
-            done += seg;
-            if (s > 0 && a > 0)
-                ratios.push_back(a / s);
-        }
-        std::sort(ratios.begin(), ratios.end());
+        const PairedTiming timing = pairedMedian(
+            kHotpathPairs,
+            [&] { return timedSegment(trace, &soa_cursor, seg, soa); },
+            [&] { return timedSegment(trace, &aos_cursor, seg, aos); },
+            /*bOverA=*/true);
+        const uint64_t done = seg * kHotpathPairs;
 
         JobOutcome outcome;
-        hotpathMetrics(outcome, done, soa_seconds, cache.stats().hitRate());
-        outcome.metrics["aos_accesses_per_sec"] =
-            aos_seconds > 0 ? static_cast<double>(done) / aos_seconds : 0.0;
-        outcome.metrics["vs_aos"] =
-            ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
+        hotpathMetrics(outcome, done, timing.secondsA,
+                       cache.stats().hitRate());
+        outcome.metrics["aos_accesses_per_sec"] = timing.secondsB > 0
+            ? static_cast<double>(done) / timing.secondsB
+            : 0.0;
+        outcome.metrics["vs_aos"] = timing.medianRatio;
         return outcome;
     };
     return job;
@@ -1349,26 +1388,19 @@ hotpathTelemetryIdleJob(double scale)
 
         const uint64_t seg =
             std::max<uint64_t>(hotpathTarget(scale) / kHotpathPairs, 1);
-        double plain_seconds = 0.0;
-        std::vector<double> ratios;
-        uint64_t done = 0;
-        for (int pair = 0; pair < kHotpathPairs; ++pair) {
-            const double p = timedSegment(trace, &plain_cursor, seg,
-                                          plain_walk);
-            const double t = timedSegment(trace, &instr_cursor, seg,
-                                          instr_walk);
-            plain_seconds += p;
-            done += seg;
-            if (p > 0 && t > 0)
-                ratios.push_back(p / t);
-        }
-        std::sort(ratios.begin(), ratios.end());
+        const PairedTiming timing = pairedMedian(
+            kHotpathPairs,
+            [&] {
+                return timedSegment(trace, &plain_cursor, seg, plain_walk);
+            },
+            [&] {
+                return timedSegment(trace, &instr_cursor, seg, instr_walk);
+            });
 
         JobOutcome outcome;
-        hotpathMetrics(outcome, done, plain_seconds,
+        hotpathMetrics(outcome, seg * kHotpathPairs, timing.secondsA,
                        plain.stats().hitRate());
-        outcome.metrics["telemetry_idle_ratio"] =
-            ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
+        outcome.metrics["telemetry_idle_ratio"] = timing.medianRatio;
         outcome.metrics["telemetry_compiled"] =
             telemetry::kCompiled ? 1.0 : 0.0;
         return outcome;
@@ -1377,128 +1409,12 @@ hotpathTelemetryIdleJob(double scale)
 }
 
 /**
- * Set-sharded LLC vs the monolithic cache on the identical stream: the
- * sharded side's timed segments spawn one worker per shard, each walking
- * the whole segment and performing only its own shard's accesses
- * (cache/shard_view.h routing), so the shards advance in parallel while
- * both sides see the same machine weather.  `sharded_speedup` is the
- * median per-pair mono/sharded time ratio; the job also PDP_CHECKs that
- * the merged shard stats equal the monolithic cache's — every hotpath
- * run doubles as an equivalence test.
- */
-Job
-hotpathShardedJob(double scale)
-{
-    Job job;
-    job.key = "hotpath/sharded/LRU-1v4";
-    job.seed = seedFor("hotpath/trace");
-    job.run = [scale](const JobContext &ctx) {
-        constexpr uint32_t kShards = 4;
-        Cache mono(CacheConfig::paperLlc(), makePolicy("LRU"));
-        ShardedLlc sharded(CacheConfig::paperLlc(), kShards,
-                           [] { return makePolicy("LRU"); });
-        const auto trace =
-            hotpathTrace(ctx.seed, mono.config().numLines() * 4);
-
-        AccessContext ma;
-        const auto monoWalk = [&](uint64_t addr, uint64_t next) {
-            mono.prefetchSet(mono.setIndex(next));
-            ma.lineAddr = addr;
-            ma.set = mono.setIndex(addr);
-            mono.access(ma);
-        };
-
-        const ShardPlan &plan = sharded.plan();
-        size_t shardedCursor = 0;
-        // One timed parallel pass over `count` accesses: worker s scans
-        // the segment and performs the accesses routed to shard s.
-        const auto shardedSegment = [&](uint64_t count) {
-            const size_t n = trace.size();
-            const size_t start = shardedCursor;
-            const auto walkShard = [&](uint32_t s) {
-                Cache &shardCache = sharded.shard(s);
-                AccessContext access;
-                size_t i = start;
-                for (uint64_t k = 0; k < count; ++k) {
-                    const uint64_t addr = trace[i];
-                    i = i + 1 == n ? 0 : i + 1;
-                    const uint32_t set = sharded.fullSetIndex(addr);
-                    if (plan.shardOf(set) != s)
-                        continue;
-                    access.lineAddr = addr;
-                    access.set = plan.localSet(set);
-                    shardCache.access(access);
-                }
-            };
-            // pdplint: allow(wall-clock) paired throughput measurement;
-            // only the volatile metrics dump sees the result.
-            const auto t0 = std::chrono::steady_clock::now();
-            std::vector<std::thread> workers;
-            workers.reserve(kShards - 1);
-            for (uint32_t s = 1; s < kShards; ++s)
-                workers.emplace_back(walkShard, s);
-            walkShard(0);
-            for (std::thread &worker : workers)
-                worker.join();
-            const double seconds =
-                // pdplint: allow(wall-clock) see above.
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            shardedCursor = (start + count) % n;
-            return seconds;
-        };
-
-        // Warmup both sides over one full pass, then reset.
-        size_t monoCursor = 0;
-        timedSegment(trace, &monoCursor, trace.size(), monoWalk);
-        shardedSegment(trace.size());
-        mono.resetStats();
-        sharded.resetStats();
-
-        const uint64_t seg =
-            std::max<uint64_t>(hotpathTarget(scale) / kHotpathPairs, 1);
-        double monoSeconds = 0.0;
-        std::vector<double> ratios;
-        uint64_t done = 0;
-        for (int pair = 0; pair < kHotpathPairs; ++pair) {
-            const double m = timedSegment(trace, &monoCursor, seg, monoWalk);
-            const double s = shardedSegment(seg);
-            monoSeconds += m;
-            done += seg;
-            if (m > 0 && s > 0)
-                ratios.push_back(m / s);
-        }
-        std::sort(ratios.begin(), ratios.end());
-
-        const CacheStats merged = sharded.mergedStats();
-        PDP_CHECK(merged.accesses == mono.stats().accesses &&
-                      merged.hits == mono.stats().hits,
-                  "sharded LLC diverged from the monolithic cache: ",
-                  merged.hits, " hits vs ", mono.stats().hits);
-
-        JobOutcome outcome;
-        hotpathMetrics(outcome, done, monoSeconds, mono.stats().hitRate());
-        outcome.metrics["sharded_speedup"] =
-            ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
-        outcome.metrics["shards"] = kShards;
-        return outcome;
-    };
-    return job;
-}
-
-/** Interleaved pairs in the lockstep-sweep measurement (odd; fewer than
- *  kHotpathPairs because each side is a full 19-config sweep). */
-constexpr int kSweepPairs = 3;
-
-/**
  * The tentpole ratio the CI gate keys on: one benchmark's full 19-point
  * SPDP-B static-PD grid, run as 19 independent sequential simulations vs
  * one lockstep sweep over a single trace decode (sim/lockstep_sweep.h).
  * `sweep_speedup` is the median per-pair independent/lockstep time
- * ratio; both sides of each pair run back to back on the same machine.
- * The job PDP_CHECKs per-config miss equality across the sides, so every
- * hotpath run re-proves the lockstep engine exact.
+ * ratio.  The job PDP_CHECKs per-config miss equality across the sides,
+ * so every hotpath run re-proves the lockstep engine exact.
  */
 Job
 hotpathSweepJob(double scale)
@@ -1521,48 +1437,36 @@ hotpathSweepJob(double scale)
         const unsigned threads =
             std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
 
-        double lockSeconds = 0.0;
-        std::vector<double> ratios;
         std::vector<SimResult> lockstep, independent;
-        for (int pair = 0; pair < kSweepPairs; ++pair) {
-            // pdplint: allow(wall-clock) paired throughput measurement;
-            // only the volatile metrics dump sees the result.
-            auto t0 = std::chrono::steady_clock::now();
-            independent.clear();
-            for (uint32_t pd : grid) {
-                auto gen = SpecSuite::make(bench, ctx.seed);
-                Hierarchy hierarchy(config.hierarchy, makeSpdpB(pd));
-                independent.push_back(
-                    runSingleCore(*gen, hierarchy, config));
-            }
-            const double ind =
-                // pdplint: allow(wall-clock) see above.
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-
-            // pdplint: allow(wall-clock) see above.
-            t0 = std::chrono::steady_clock::now();
-            auto gen = SpecSuite::make(bench, ctx.seed);
-            lockstep = runSingleCoreLockstep(*gen, config, factories,
-                                             threads);
-            const double lock =
-                // pdplint: allow(wall-clock) see above.
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-
-            lockSeconds += lock;
-            if (ind > 0 && lock > 0)
-                ratios.push_back(ind / lock);
-            for (size_t c = 0; c < grid.size(); ++c)
-                PDP_CHECK(lockstep[c].llcMisses ==
-                                  independent[c].llcMisses &&
-                              lockstep[c].cycles == independent[c].cycles,
-                          "lockstep sweep diverged from independent runs "
-                          "at PD=", grid[c]);
-        }
-        std::sort(ratios.begin(), ratios.end());
+        const PairedTiming timing = pairedMedian(
+            kSweepPairs,
+            [&] {
+                return secondsOf([&] {
+                    independent.clear();
+                    for (uint32_t pd : grid) {
+                        auto gen = SpecSuite::make(bench, ctx.seed);
+                        Hierarchy hierarchy(config.hierarchy,
+                                            makeSpdpB(pd));
+                        independent.push_back(
+                            runSingleCore(*gen, hierarchy, config));
+                    }
+                });
+            },
+            [&] {
+                const double seconds = secondsOf([&] {
+                    auto gen = SpecSuite::make(bench, ctx.seed);
+                    lockstep = runSingleCoreLockstep(*gen, config,
+                                                     factories, threads);
+                });
+                for (size_t c = 0; c < grid.size(); ++c)
+                    PDP_CHECK(lockstep[c].llcMisses ==
+                                      independent[c].llcMisses &&
+                                  lockstep[c].cycles ==
+                                      independent[c].cycles,
+                              "lockstep sweep diverged from independent "
+                              "runs at PD=", grid[c]);
+                return seconds;
+            });
 
         uint64_t hits = 0, accesses = 0;
         for (const SimResult &r : lockstep) {
@@ -1574,10 +1478,9 @@ hotpathSweepJob(double scale)
             outcome,
             static_cast<uint64_t>(kSweepPairs) * grid.size() *
                 config.accesses,
-            lockSeconds,
+            timing.secondsB,
             accesses ? static_cast<double>(hits) / accesses : 0.0);
-        outcome.metrics["sweep_speedup"] =
-            ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
+        outcome.metrics["sweep_speedup"] = timing.medianRatio;
         outcome.metrics["sweep_configs"] =
             static_cast<double>(grid.size());
         // Lane fan-out actually used: check_perf only enforces the
@@ -1594,13 +1497,11 @@ hotpathSweepJob(double scale)
  * The explorer's CI ratio: one benchmark's full 38-cell static-PD design
  * space (both SPDP families), run exhaustively as independent sequential
  * simulations vs the model-pruned path — fingerprint + analytic ranking
- * + top-K-and-audit lockstep simulation — in interleaved pairs.
- * `explore_speedup` is the median per-pair exhaustive/pruned time ratio;
- * both sides of each pair see the same machine weather.  The job also
- * PDP_CHECKs that the pruned side's miss-minimizing cell matches the
- * exhaustive winner per family (within 2%, since sub-scale runs can
- * flip near-tied neighbours), so every hotpath run re-proves the
- * pruning sound.
+ * + top-K-and-audit lockstep simulation.  `explore_speedup` is the
+ * median per-pair exhaustive/pruned time ratio.  The job also PDP_CHECKs
+ * that the pruned side's miss-minimizing cell matches the exhaustive
+ * winner per family (within 2%, since sub-scale runs can flip near-tied
+ * neighbours), so every hotpath run re-proves the pruning sound.
  */
 Job
 hotpathExploreJob(double scale)
@@ -1618,69 +1519,56 @@ hotpathExploreJob(double scale)
             std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
         const std::vector<uint32_t> grid = defaultPdGrid();
 
-        double exploreSeconds = 0.0;
-        std::vector<double> ratios;
         std::vector<SimResult> exhaustive, contenders;
         ExplorePlan plan;
         uint64_t done = 0;
-        for (int pair = 0; pair < kSweepPairs; ++pair) {
+        const PairedTiming timing = pairedMedian(
+            kSweepPairs,
             // Exhaustive side: every (family, PD) cell, sequentially —
             // the simulate-everything baseline a sweep pays without the
             // model.
-            // pdplint: allow(wall-clock) paired throughput measurement;
-            // only the volatile metrics dump sees the result.
-            auto t0 = std::chrono::steady_clock::now();
-            exhaustive.clear();
-            for (bool byp : {false, true})
-                for (uint32_t pd : grid) {
-                    auto gen = SpecSuite::make(bench, ctx.seed);
-                    Hierarchy hierarchy(config.hierarchy,
-                                        byp ? makeSpdpB(pd)
-                                            : makeSpdpNb(pd));
-                    exhaustive.push_back(
-                        runSingleCore(*gen, hierarchy, config));
-                }
-            const double exh =
-                // pdplint: allow(wall-clock) see above.
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-
+            [&] {
+                return secondsOf([&] {
+                    exhaustive.clear();
+                    for (bool byp : {false, true})
+                        for (uint32_t pd : grid) {
+                            auto gen = SpecSuite::make(bench, ctx.seed);
+                            Hierarchy hierarchy(config.hierarchy,
+                                                byp ? makeSpdpB(pd)
+                                                    : makeSpdpNb(pd));
+                            exhaustive.push_back(
+                                runSingleCore(*gen, hierarchy, config));
+                        }
+                });
+            },
             // Pruned side: fingerprint the stream once, rank the whole
             // grid analytically, simulate only the contenders (plus the
             // audit cell) over one lockstep decode.
-            // pdplint: allow(wall-clock) see above.
-            t0 = std::chrono::steady_clock::now();
-            auto fgen = SpecSuite::make(bench, ctx.seed);
-            FingerprintOptions fopt;
-            fopt.accesses = config.accesses;
-            fopt.warmup = config.warmup;
-            const RddFingerprint fp = fingerprintStream(*fgen, fopt);
-            plan = planExplore(fp, 3, seedFor(bench + "/explore-audit"));
-            std::vector<
-                std::function<std::unique_ptr<ReplacementPolicy>()>>
-                factories;
-            for (const ExploreCell &cell : plan.chosen)
-                factories.push_back(
-                    [cell]() -> std::unique_ptr<ReplacementPolicy> {
-                        return cell.bypass ? makeSpdpB(cell.pd)
-                                           : makeSpdpNb(cell.pd);
-                    });
-            auto gen = SpecSuite::make(bench, ctx.seed);
-            contenders =
-                runSingleCoreLockstep(*gen, config, factories, threads);
-            const double prn =
-                // pdplint: allow(wall-clock) see above.
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-
-            exploreSeconds += prn;
-            done += plan.chosen.size() * config.accesses;
-            if (exh > 0 && prn > 0)
-                ratios.push_back(exh / prn);
-        }
-        std::sort(ratios.begin(), ratios.end());
+            [&] {
+                const double seconds = secondsOf([&] {
+                    auto fgen = SpecSuite::make(bench, ctx.seed);
+                    FingerprintOptions fopt;
+                    fopt.accesses = config.accesses;
+                    fopt.warmup = config.warmup;
+                    const RddFingerprint fp = fingerprintStream(*fgen, fopt);
+                    plan = planExplore(fp, 3,
+                                       seedFor(bench + "/explore-audit"));
+                    std::vector<
+                        std::function<std::unique_ptr<ReplacementPolicy>()>>
+                        factories;
+                    for (const ExploreCell &cell : plan.chosen)
+                        factories.push_back(
+                            [cell]() -> std::unique_ptr<ReplacementPolicy> {
+                                return cell.bypass ? makeSpdpB(cell.pd)
+                                                   : makeSpdpNb(cell.pd);
+                            });
+                    auto gen = SpecSuite::make(bench, ctx.seed);
+                    contenders = runSingleCoreLockstep(*gen, config,
+                                                       factories, threads);
+                });
+                done += plan.chosen.size() * config.accesses;
+                return seconds;
+            });
 
         // Winner reproduction per family: the pruned set must contain a
         // cell within 2% of the exhaustive miss minimum.
@@ -1707,11 +1595,10 @@ hotpathExploreJob(double scale)
             accesses += r.llcAccesses;
         }
         JobOutcome outcome;
-        hotpathMetrics(outcome, done, exploreSeconds,
+        hotpathMetrics(outcome, done, timing.secondsB,
                        accesses ? static_cast<double>(hits) / accesses
                                 : 0.0);
-        outcome.metrics["explore_speedup"] =
-            ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
+        outcome.metrics["explore_speedup"] = timing.medianRatio;
         outcome.metrics["explore_cells"] =
             static_cast<double>(2 * grid.size());
         outcome.metrics["explore_simulated"] =
@@ -1737,7 +1624,6 @@ buildHotpath(const SuiteOptions &options)
     jobs.push_back(hotpathReferenceJob(options.scale));
     jobs.push_back(hotpathPartitionJob(options.scale));
     jobs.push_back(hotpathTelemetryIdleJob(options.scale));
-    jobs.push_back(hotpathShardedJob(options.scale));
     jobs.push_back(hotpathSweepJob(options.scale));
     jobs.push_back(hotpathExploreJob(options.scale));
     return jobs;
@@ -1767,7 +1653,6 @@ reportHotpath(std::ostream &out, const RecordLookup &records)
     keys.push_back("hotpath/llc/AoS-reference");
     keys.push_back("hotpath/shared/PDP-3-part-4c");
     keys.push_back("hotpath/llc/LRU-telemetry-idle");
-    keys.push_back("hotpath/sharded/LRU-1v4");
     keys.push_back("hotpath/sweep/SPDP-B-grid");
     keys.push_back("hotpath/explore/SPDP-grid");
     for (const std::string &key : keys) {
@@ -1796,11 +1681,6 @@ reportHotpath(std::ostream &out, const RecordLookup &records)
             << (compiled > 0 ? "compiled in" : "compiled out") << ")\n";
     }
 
-    double sharded = 0.0;
-    if (metric("hotpath/sharded/LRU-1v4", "sharded_speedup", &sharded))
-        out << "set-sharded LLC (4 shards) vs monolithic walk: "
-            << Table::num(sharded, 2) << "x (paired median; needs >= 4 "
-            << "cores to win)\n";
     double sweep = 0.0;
     if (metric("hotpath/sweep/SPDP-B-grid", "sweep_speedup", &sweep)) {
         double lanes = 0.0;
@@ -2072,14 +1952,10 @@ runSuite(const Suite &suite, const SuiteOptions &options, std::ostream &out)
     // throwing jobs directly still see the process default, disarmed).
     // When JSON output is disabled there is nowhere to dump, so the
     // recorder stays disarmed too.
-    std::string flightDir =
-        options.jsonDir.empty() ? ResultsSink::jsonDirectory()
-                                : options.jsonDir;
-    if (flightDir == "none" || flightDir == "0")
-        flightDir.clear();
+    const std::string outDir = ResultsSink::outputDirectory(options.jsonDir);
     std::optional<check::ScopedFlightRecorder> flightArm;
-    if (!flightDir.empty())
-        flightArm.emplace(flightDir);
+    if (!outDir.empty())
+        flightArm.emplace(outDir);
 
     reporter.beginBatch(suite.name, jobs.size(), executor.workers());
     const std::vector<JobRecord> records = executor.run(jobs);
@@ -2107,16 +1983,28 @@ runSuite(const Suite &suite, const SuiteOptions &options, std::ostream &out)
         sink.setRegistrySnapshot(
             telemetry::MetricsRegistry::global().snapshot());
 
-    std::string path;
-    if (sink.writeFile(options.jsonDir, &path))
-        out << "[runner] wrote " << path << "\n";
-    if (options.trace && sink.writeTraceFile(options.jsonDir, &path))
-        out << "[runner] wrote " << path << "\n";
+    // A failed write counts like a failed job: the run's results are
+    // lost, so the exit code must say so.
+    int writeFailures = 0;
+    const auto reportWrite = [&](bool wrote, const std::string &path) {
+        if (wrote) {
+            out << "[runner] wrote " << path << "\n";
+        } else {
+            out << "[runner] error: could not write " << path << "\n";
+            ++writeFailures;
+        }
+    };
+    if (!outDir.empty()) {
+        std::string path;
+        reportWrite(sink.writeFile(outDir, &path), path);
+        if (options.trace)
+            reportWrite(sink.writeTraceFile(outDir, &path), path);
+    }
     out << "[runner] " << suite.name << ": "
         << (records.size() - static_cast<size_t>(notOk)) << "/"
         << records.size() << " job(s) ok on " << executor.workers()
         << " worker(s)\n";
-    return notOk;
+    return notOk + writeFailures;
 }
 
 } // namespace runner

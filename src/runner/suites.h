@@ -70,10 +70,6 @@ struct SuiteOptions
      *  index in every service job (--fault-at; 0 disables).  Exercises
      *  the fault flight recorder end to end. */
     uint64_t serviceFaultAt = 0;
-    /** LLC set-shards per single-core job (--shards; rounded down to a
-     *  power of two by the sim layer).  Semantics-preserving: policies
-     *  that cannot shard fall back to the sequential driver. */
-    unsigned shards = 1;
     /** Group each benchmark's sweep cells into one lockstep job over a
      *  single trace decode (--lockstep; sim/lockstep_sweep.h).  Records
      *  are byte-identical to the independent grid.  Ignored when
@@ -145,8 +141,9 @@ const Suite *findSuite(const std::string &name);
 
 /**
  * Build, execute, report and serialize one suite.  Returns the number
- * of jobs that did not finish Ok (0 == success), so it can be used as a
- * process exit code.
+ * of jobs that did not finish Ok plus the number of result files that
+ * could not be written (0 == success), so it can be used as a process
+ * exit code.
  */
 int runSuite(const Suite &suite, const SuiteOptions &options,
              std::ostream &out);

@@ -5,17 +5,17 @@
  * The figure suites are sweep-shaped — the same benchmark simulated
  * under dozens of policy configs (the Fig. 4/Fig. 10 static-PD grids),
  * every config re-decoding the identical trace and re-walking the
- * identical L2.  Since the L2 is policy-independent (llc_stream.h), the
- * lockstep driver decodes and L2-filters once per chunk and replays the
- * captured LLC op stream against N per-config LLC caches side by side,
- * amortizing the front-end across the whole sweep.  Each config's LLC
- * sees the full op stream in order, so this is *exact for every policy*
- * (unlike sharding, which needs set-locality): the returned SimResults
- * are byte-identical to N independent sequential runs, which the
- * byte-identity tests pin down.
+ * identical L2.  Since the L2 is policy-independent (it is always plain
+ * LRU and nothing the LLC decides feeds back into it), the lockstep
+ * driver decodes and L2-filters once per chunk and replays the captured
+ * LLC op stream against N per-config LLC caches side by side, amortizing
+ * the front-end across the whole sweep.  Each config's LLC sees the full
+ * op stream in order, so this is *exact for every policy*: the returned
+ * SimResults are byte-identical to N independent sequential runs, which
+ * the byte-identity tests pin down.
  *
  * On top of the amortization, the per-chunk config walks are
- * independent (each config's Cache, policy, level buffer and timing
+ * independent (each config's Cache, policy, LLC-hit buffer and timing
  * model are private), so they fan out across `threads` workers with a
  * join barrier per chunk.
  */
@@ -38,9 +38,8 @@ namespace pdp
  * Simulate every policy in `makePolicies` over one decode of `gen`,
  * returning one SimResult per factory, in input order.  `threads` caps
  * the per-chunk worker fan-out over configs (0 or 1 = inline).
- * config.llcShards is ignored here; telemetry/audit/prefetcher configs
- * are rejected (they observe global order and belong to the sequential
- * driver).
+ * Telemetry/audit/prefetcher configs are rejected (they observe global
+ * order and belong to the sequential driver).
  */
 std::vector<SimResult> runSingleCoreLockstep(
     AccessGenerator &gen, const SimConfig &config,

@@ -36,12 +36,6 @@ struct SimConfig
     bool auditFailFast = false;
     /** Epoch telemetry knobs (off by default; see src/telemetry/). */
     telemetry::TelemetryConfig telemetry{};
-    /** LLC set-shards for the intra-job parallel driver (rounded down
-     *  to a power of two; 1 = sequential).  Honoured by
-     *  runSingleCoreAuto for set-local policies only — everything else
-     *  falls back to the sequential driver, so the knob is always
-     *  semantics-preserving (see sim/sharded_sim.h). */
-    unsigned llcShards = 1;
 
     /** Scale both run length and warmup (quick CI runs). */
     SimConfig

@@ -364,8 +364,18 @@ TEST(ResultsSink, WriteFileAndEnvKnob)
     ASSERT_TRUE(doc.has_value());
     EXPECT_EQ(doc->find("experiment")->asString(), "file_check");
 
-    // "none" disables output.
-    EXPECT_FALSE(sink.writeFile("none"));
+    // "none" disables output: nothing is attempted and no path is named.
+    std::string disabledPath;
+    EXPECT_FALSE(sink.writeFile("none", &disabledPath));
+    EXPECT_TRUE(disabledPath.empty());
+    EXPECT_EQ(ResultsSink::outputDirectory("none"), "");
+    EXPECT_EQ(ResultsSink::outputDirectory("0"), "");
+
+    // An unwritable directory also fails, but names its target.
+    std::string failedPath;
+    EXPECT_FALSE(sink.writeFile(dir + "/no/such/dir", &failedPath));
+    EXPECT_NE(failedPath.find("no/such/dir/BENCH_file_check.json"),
+              std::string::npos);
 }
 
 TEST(Suites, RegistryHasThePortedFiguresAndUniqueJobKeys)
@@ -597,4 +607,39 @@ TEST(Suites, FilteredRunExecutesSubsetWithGenericReport)
     EXPECT_EQ(runSuite(*suite, options, out), 0);
     EXPECT_NE(out.str().find("filtered"), std::string::npos);
     EXPECT_NE(out.str().find("fig10/450.soplex/DIP"), std::string::npos);
+}
+
+TEST(Suites, UnwritableJsonDirectoryIsAFailure)
+{
+    const Suite *suite = findSuite("smoke");
+    ASSERT_NE(suite, nullptr);
+    SuiteOptions options;
+    options.scale = 0.01;
+    options.workers = 2;
+    options.filter = "smoke/450.soplex/SPDP-B:";
+    options.jsonDir = ::testing::TempDir() + "/no/such/dir";
+
+    std::ostringstream out;
+    EXPECT_GT(runSuite(*suite, options, out), 0);
+    EXPECT_NE(out.str().find("[runner] error: could not write " +
+                             options.jsonDir + "/BENCH_smoke.json"),
+              std::string::npos)
+        << out.str();
+    EXPECT_EQ(out.str().find("[runner] wrote"), std::string::npos);
+}
+
+TEST(Suites, DisabledJsonOutputIsNotAFailure)
+{
+    const Suite *suite = findSuite("smoke");
+    ASSERT_NE(suite, nullptr);
+    SuiteOptions options;
+    options.scale = 0.01;
+    options.workers = 2;
+    options.filter = "smoke/450.soplex/SPDP-B:";
+    options.jsonDir = "none";
+
+    std::ostringstream out;
+    EXPECT_EQ(runSuite(*suite, options, out), 0);
+    EXPECT_EQ(out.str().find("[runner] error"), std::string::npos);
+    EXPECT_EQ(out.str().find("[runner] wrote"), std::string::npos);
 }

@@ -11,15 +11,13 @@
  *                   [--telemetry[=DIR]] [--trace]
  *                   [--obs-sample-rate X] [--perf-counters]
  *                   [--fault-at N]
- *                   [--shards N] [--lockstep]
+ *                   [--lockstep]
  *                   [--tenants N] [--churn N] [--deterministic-json]
  *                   [--explore] [--explore-topk N]
  *
- * --shards N set-shards each single-core job's LLC across N worker
- * threads (semantics-preserving; policies that cannot shard fall back
- * to the sequential driver).  --lockstep groups each benchmark's sweep
- * cells into one job over a single trace decode.  Both produce records
- * byte-identical to the default independent grid.
+ * --lockstep groups each benchmark's sweep cells into one job over a
+ * single trace decode, producing records byte-identical to the default
+ * independent grid.
  *
  * --telemetry records per-epoch policy snapshots (PD, RDD, PSEL,
  * partition allocations, interval hit rates) into each job's results;
@@ -54,7 +52,8 @@
  *
  * Defaults come from the same environment knobs the bench binaries use:
  * PDP_BENCH_SCALE, PDP_BENCH_JOBS, PDP_BENCH_VERBOSE, PDP_BENCH_JSON.
- * Exit code is the number of jobs that did not finish Ok (2 for usage
+ * Exit code is the number of jobs that did not finish Ok plus the
+ * number of result files that could not be written (2 for usage
  * errors), so CI can gate on it.
  */
 
@@ -83,14 +82,13 @@ printUsage(std::FILE *to)
                  "                       [--telemetry[=DIR]] [--trace]\n"
                  "                       [--obs-sample-rate X]\n"
                  "                       [--perf-counters] [--fault-at N]\n"
-                 "                       [--shards N] [--lockstep]\n"
+                 "                       [--lockstep]\n"
                  "                       [--tenants N] [--churn N]\n"
                  "                       [--deterministic-json]\n"
                  "                       [--explore] [--explore-topk N]\n"
                  "\n"
-                 "--shards N set-shards each job's LLC across N threads;\n"
                  "--lockstep runs each benchmark's sweep cells over one\n"
-                 "trace decode.  Both keep records byte-identical to the\n"
+                 "trace decode, keeping records byte-identical to the\n"
                  "independent grid.\n"
                  "\n"
                  "--telemetry samples per-epoch policy state into the\n"
@@ -166,16 +164,6 @@ main(int argc, char **argv)
                 return 2;
             }
             options.workers = static_cast<unsigned>(*jobs);
-        } else if (arg == "--shards") {
-            const auto shards = pdp::parseUnsigned(needValue(i));
-            if (!shards || *shards == 0 || *shards > 1024) {
-                std::fprintf(stderr,
-                             "--shards wants an integer in [1, 1024], got "
-                             "\"%s\" (rounded down to a power of two)\n",
-                             argv[i]);
-                return 2;
-            }
-            options.shards = static_cast<unsigned>(*shards);
         } else if (arg == "--lockstep") {
             options.lockstep = true;
         } else if (arg == "--tenants") {
