@@ -135,8 +135,8 @@ struct Job
      *  several keyed outcomes (e.g. a lockstep sweep amortizing one trace
      *  decode over a whole policy grid, sim/lockstep_sweep.h).  Exactly
      *  one of run/runMany may be set.  Each KeyedOutcome becomes its own
-     *  JobRecord — same seed, same group wall-clock — in returned order,
-     *  so downstream consumers (sinks, reports) can't tell a fanned-out
+     *  JobRecord — same seed, JobRecord::group naming this job — in
+     *  returned order, so deterministic results can't tell a fanned-out
      *  job from the equivalent independent jobs. */
     std::function<std::vector<KeyedOutcome>(const JobContext &)> runMany;
 };
@@ -149,8 +149,13 @@ struct JobRecord
     JobStatus status = JobStatus::Failed;
     /** Exception message (Failed) or overrun note (TimedOut). */
     std::string error;
+    /** Key of the runMany job this record was expanded from; empty for
+     *  a plain job (and for a group that failed as a whole).  Volatile
+     *  like `seconds`: excluded from deterministic serializations. */
+    std::string group;
     /** Wall-clock duration; reporting only, excluded from deterministic
-     *  serializations. */
+     *  serializations.  Every record of a group carries the whole
+     *  group's time, so count it once per group, not once per record. */
     double seconds = 0.0;
     /** Hardware counter deltas over the job (ExecutorOptions::
      *  perfCounters; hw.valid false on the null backend).  Volatile
@@ -160,6 +165,29 @@ struct JobRecord
     hw::PerfReading hw;
     JobOutcome outcome;
 };
+
+/** One runMany group's share of a record list. */
+struct GroupTime
+{
+    uint64_t records = 0;
+    /** The group's wall time, counted once. */
+    double seconds = 0.0;
+};
+
+/** Every runMany group among `records`, keyed by JobRecord::group. */
+inline std::map<std::string, GroupTime>
+groupTimes(const std::vector<JobRecord> &records)
+{
+    std::map<std::string, GroupTime> groups;
+    for (const JobRecord &record : records) {
+        if (record.group.empty())
+            continue;
+        GroupTime &group = groups[record.group];
+        ++group.records;
+        group.seconds = record.seconds;
+    }
+    return groups;
+}
 
 } // namespace runner
 } // namespace pdp

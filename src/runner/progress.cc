@@ -53,7 +53,8 @@ ProgressReporter::beginBatch(const std::string &name, size_t total,
 }
 
 void
-ProgressReporter::jobFinished(const JobRecord &record, unsigned busyWorkers)
+ProgressReporter::jobFinished(const std::vector<JobRecord> &records,
+                              unsigned busyWorkers)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ++done_;
@@ -73,11 +74,14 @@ ProgressReporter::jobFinished(const JobRecord &record, unsigned busyWorkers)
         eta = elapsed / static_cast<double>(done_) *
               static_cast<double>(total_ - done_) / workers_;
 
+    const JobRecord &record = records.front();
+    const std::string name = record.group.empty()
+        ? record.key
+        : record.group + " [" + std::to_string(records.size()) + " records]";
     std::fprintf(stderr,
                  "[runner] %s %zu/%zu %s %.2fs %s (busy %u/%u, ETA %.0fs)\n",
                  batch_.c_str(), done_, total_, toString(record.status),
-                 record.seconds, record.key.c_str(), busyWorkers, workers_,
-                 eta);
+                 record.seconds, name.c_str(), busyWorkers, workers_, eta);
 }
 
 size_t

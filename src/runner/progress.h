@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "runner/job.h"
 
@@ -50,11 +51,15 @@ class ProgressReporter
     void beginBatch(const std::string &name, size_t total, unsigned workers);
 
     /**
-     * Record one finished job.  Emits (when verbose)
+     * Record one finished job: its single record, or every record of a
+     * runMany group.  Emits (when verbose) one line per job, naming the
+     * group and its wall time once:
      *   [runner] fig10 12/442 ok 1.32s fig10/gcc/DIP (busy 3/8, ETA 42s)
+     *   [runner] fig10 13/442 ok 9.80s fig10/gcc/lockstep [18 records] ...
      * `busyWorkers` is the executor's count of still-occupied workers.
      */
-    void jobFinished(const JobRecord &record, unsigned busyWorkers);
+    void jobFinished(const std::vector<JobRecord> &records,
+                     unsigned busyWorkers);
 
     /** Completed / total of the current batch. */
     size_t completed() const;

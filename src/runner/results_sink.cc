@@ -216,8 +216,13 @@ toJson(const JobRecord &record, bool includeVolatile)
     j.set("status", toString(record.status));
     if (!record.error.empty())
         j.set("error", record.error);
-    if (includeVolatile)
+    // A runMany group's wall time belongs to the group, not to each of
+    // its records: grouped records name their group, and the document's
+    // "groups" section carries the time once.
+    if (includeVolatile && record.group.empty())
         j.set("seconds", record.seconds);
+    else if (includeVolatile)
+        j.set("group", record.group);
     // Same contract as the per-epoch hw section: volatile, and absent —
     // never zero-filled — when the null backend was in effect.
     if (includeVolatile && record.hw.valid)
@@ -412,6 +417,17 @@ ResultsSink::toJson(bool includeVolatile) const
     for (const JobRecord &record : records)
         jobs.push(runner::toJson(record, includeVolatile));
     doc.set("jobs", std::move(jobs));
+    const std::map<std::string, GroupTime> groups = groupTimes(records);
+    if (includeVolatile && !groups.empty()) {
+        Json section = Json::object();
+        for (const auto &[key, group] : groups) {
+            Json g = Json::object();
+            g.set("records", group.records);
+            g.set("seconds", group.seconds);
+            section.set(key, std::move(g));
+        }
+        doc.set("groups", std::move(section));
+    }
     // Registry totals are process-global (they accumulate across every
     // suite the process ran), so they only belong in the volatile form.
     if (includeVolatile && !registry.empty()) {

@@ -25,7 +25,11 @@
  *         "seed": 1234,
  *         "status": "ok" | "failed" | "timed_out",
  *         "error": "...",         // only when non-empty
- *         "seconds": 1.32,        // volatile: omitted in deterministic dumps
+ *         "seconds": 1.32,        // volatile, plain jobs only: omitted in
+ *                                 // deterministic dumps
+ *         "group": "fig10/401.gcc/lockstep",  // volatile, instead of
+ *                                 // "seconds" on records expanded from one
+ *                                 // runMany job: the key of that job
  *         "hardware": {           // volatile; only when perf counters were
  *           "cycles": ...,        // live (absent — never zero-filled — on
  *           "instructions": ...,  // the null backend)
@@ -57,14 +61,18 @@
  *         }
  *       }, ...
  *     ],
+ *     "groups": {                 // volatile-only; when any record has a
+ *       "fig10/401.gcc/lockstep": // "group": each runMany job's wall
+ *         {"records": 18, "seconds": 9.8}, ...  // time, written once
+ *     },
  *     "registry": {"telemetry.epochs": 34, ...}  // volatile-only section
  *   }
  *
  * The deterministic form (includeVolatile = false) omits wall-clock
- * durations, the worker count, volatile trace events and the registry
- * dump, so a 1-worker and an N-worker sweep of the same grid dump
- * byte-identical documents — that equality is the runner's determinism
- * test, and it holds with telemetry on.
+ * durations, group names, the worker count, volatile trace events and
+ * the registry dump, so a 1-worker and an N-worker sweep of the same
+ * grid dump byte-identical documents — that equality is the runner's
+ * determinism test, and it holds with telemetry on.
  */
 
 #ifndef PDP_RUNNER_RESULTS_SINK_H

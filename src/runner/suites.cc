@@ -1634,18 +1634,6 @@ reportHotpath(std::ostream &out, const RecordLookup &records)
 {
     out << "==== hotpath: cache-substrate throughput ====\n\n";
 
-    const auto metric = [&](const std::string &key, const char *name,
-                            double *value) {
-        const JobRecord *record = records.find(key);
-        if (!record || record->status == JobStatus::Failed)
-            return false;
-        const auto it = record->outcome.metrics.find(name);
-        if (it == record->outcome.metrics.end())
-            return false;
-        *value = it->second;
-        return true;
-    };
-
     Table table({"configuration", "Macc/s", "hit rate", "vs AoS"});
     std::vector<std::string> keys;
     for (const std::string &policy : kHotpathPolicies)
@@ -1657,44 +1645,46 @@ reportHotpath(std::ostream &out, const RecordLookup &records)
     keys.push_back("hotpath/explore/SPDP-grid");
     for (const std::string &key : keys) {
         double aps = 0.0, hit_rate = 0.0, vs_aos = 0.0;
-        if (!metric(key, "accesses_per_sec", &aps)) {
+        if (!recordMetric(records, key, "accesses_per_sec", &aps)) {
             table.addRow({key, "n/a", "n/a", "n/a"});
             continue;
         }
-        metric(key, "hit_rate", &hit_rate);
+        recordMetric(records, key, "hit_rate", &hit_rate);
         // vs_aos is the job's own paired-median ratio (rates measured
         // in different jobs are not comparable on a noisy machine); the
         // shared-LLC and AoS-anchor jobs have no paired twin.
-        const bool paired = metric(key, "vs_aos", &vs_aos) && vs_aos > 0;
+        const bool paired =
+            recordMetric(records, key, "vs_aos", &vs_aos) && vs_aos > 0;
         table.addRow({key, Table::num(aps / 1e6, 2), Table::upct(hit_rate),
                       paired ? Table::num(vs_aos, 2) + "x" : "-"});
     }
     table.print(out);
 
+    const std::string idleKey = "hotpath/llc/LRU-telemetry-idle";
     double idle = 0.0, compiled = 0.0;
-    if (metric("hotpath/llc/LRU-telemetry-idle", "telemetry_idle_ratio",
-               &idle)) {
-        metric("hotpath/llc/LRU-telemetry-idle", "telemetry_compiled",
-               &compiled);
+    if (recordMetric(records, idleKey, "telemetry_idle_ratio", &idle)) {
+        recordMetric(records, idleKey, "telemetry_compiled", &compiled);
         out << "\ntelemetry idle overhead: plain/instrumented = "
             << Table::num(idle, 3) << "x (1.00 = free; telemetry "
             << (compiled > 0 ? "compiled in" : "compiled out") << ")\n";
     }
 
+    const std::string sweepKey = "hotpath/sweep/SPDP-B-grid";
     double sweep = 0.0;
-    if (metric("hotpath/sweep/SPDP-B-grid", "sweep_speedup", &sweep)) {
+    if (recordMetric(records, sweepKey, "sweep_speedup", &sweep)) {
         double lanes = 0.0;
-        metric("hotpath/sweep/SPDP-B-grid", "sweep_threads", &lanes);
+        recordMetric(records, sweepKey, "sweep_threads", &lanes);
         out << "lockstep 19-point SPDP-B sweep vs independent runs: "
             << Table::num(sweep, 2) << "x on "
             << static_cast<unsigned>(lanes) << " lane worker(s)\n";
     }
+    const std::string exploreKey = "hotpath/explore/SPDP-grid";
     double explore = 0.0;
-    if (metric("hotpath/explore/SPDP-grid", "explore_speedup", &explore)) {
+    if (recordMetric(records, exploreKey, "explore_speedup", &explore)) {
         double cells = 0.0, simmed = 0.0, lanes = 0.0;
-        metric("hotpath/explore/SPDP-grid", "explore_cells", &cells);
-        metric("hotpath/explore/SPDP-grid", "explore_simulated", &simmed);
-        metric("hotpath/explore/SPDP-grid", "explore_threads", &lanes);
+        recordMetric(records, exploreKey, "explore_cells", &cells);
+        recordMetric(records, exploreKey, "explore_simulated", &simmed);
+        recordMetric(records, exploreKey, "explore_threads", &lanes);
         out << "model-pruned explore vs exhaustive "
             << static_cast<unsigned>(cells) << "-cell grid: "
             << Table::num(explore, 2) << "x ("
@@ -1911,9 +1901,16 @@ genericReport(std::ostream &out, const std::vector<JobRecord> &records)
                 std::to_string(s.tenants.size());
         }
         table.addRow({record.key, toString(record.status),
-                      Table::num(record.seconds, 2), ipc, mpki, wth, svc});
+                      record.group.empty() ? Table::num(record.seconds, 2)
+                                           : "group",
+                      ipc, mpki, wth, svc});
     }
     table.print(out);
+    // A runMany group's wall time is shared by all its records: print it
+    // once per group, not once per record.
+    for (const auto &[key, group] : groupTimes(records))
+        out << "group " << key << ": " << group.records << " record(s) in "
+            << Table::num(group.seconds, 2) << "s\n";
 }
 
 } // namespace

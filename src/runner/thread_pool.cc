@@ -73,6 +73,7 @@ ThreadPoolExecutor::execute(const Job &job, unsigned worker) const
             for (KeyedOutcome &keyed : outcomes) {
                 JobRecord record;
                 record.key = std::move(keyed.key);
+                record.group = job.key;
                 record.seed = job.seed;
                 record.outcome = std::move(keyed.outcome);
                 record.status = JobStatus::Ok;
@@ -158,8 +159,7 @@ ThreadPoolExecutor::run(const std::vector<Job> &jobs)
             groups[index] = execute(jobs[index], id);
             const unsigned stillBusy = busy.fetch_sub(1) - 1;
             if (options_.reporter)
-                options_.reporter->jobFinished(groups[index].front(),
-                                               stillBusy);
+                options_.reporter->jobFinished(groups[index], stillBusy);
             if (options_.onComplete) {
                 for (const JobRecord &record : groups[index])
                     options_.onComplete(record);

@@ -291,29 +291,10 @@ runSingleCoreLockstep(
 
     std::vector<SimResult> results;
     results.reserve(lanes.size());
-    for (Lane &lane : lanes) {
-        const CacheStats &llc = lane.llc->stats();
-        const TimingModel &timing = *lane.timing;
-        SimResult result;
-        result.benchmark = gen.name();
-        result.policy = lane.llc->policy().name();
-        result.instructions = timing.instructions();
-        result.cycles = timing.cycles();
-        result.ipc = timing.ipc();
-        result.llcAccesses = llc.accesses;
-        result.llcHits = llc.hits;
-        result.llcMisses = llc.misses;
-        result.llcBypasses = llc.bypasses;
-        result.mpki = result.instructions
-            ? 1000.0 * static_cast<double>(llc.misses) /
-                  static_cast<double>(result.instructions)
-            : 0.0;
-        result.bypassFraction = llc.accesses
-            ? static_cast<double>(llc.bypasses) /
-                  static_cast<double>(llc.accesses)
-            : 0.0;
-        results.push_back(std::move(result));
-    }
+    for (const Lane &lane : lanes)
+        results.push_back(makeSimResult(gen.name(),
+                                        lane.llc->policy().name(),
+                                        lane.llc->stats(), *lane.timing));
     return results;
 }
 

@@ -8,6 +8,31 @@ namespace pdp
 {
 
 SimResult
+makeSimResult(std::string benchmark, std::string policy,
+              const CacheStats &llc, const TimingModel &timing)
+{
+    SimResult result;
+    result.benchmark = std::move(benchmark);
+    result.policy = std::move(policy);
+    result.instructions = timing.instructions();
+    result.cycles = timing.cycles();
+    result.ipc = timing.ipc();
+    result.llcAccesses = llc.accesses;
+    result.llcHits = llc.hits;
+    result.llcMisses = llc.misses;
+    result.llcBypasses = llc.bypasses;
+    result.mpki = result.instructions
+        ? 1000.0 * static_cast<double>(llc.misses) /
+              static_cast<double>(result.instructions)
+        : 0.0;
+    result.bypassFraction = llc.accesses
+        ? static_cast<double>(llc.bypasses) /
+              static_cast<double>(llc.accesses)
+        : 0.0;
+    return result;
+}
+
+SimResult
 runSingleCore(AccessGenerator &gen, Hierarchy &hierarchy,
               const SimConfig &config)
 {
@@ -63,26 +88,9 @@ runSingleCore(AccessGenerator &gen, Hierarchy &hierarchy,
         }
     }
 
-    const CacheStats &llc = hierarchy.llc().stats();
-
-    SimResult result;
-    result.benchmark = gen.name();
-    result.policy = hierarchy.llc().policy().name();
-    result.instructions = timing.instructions();
-    result.cycles = timing.cycles();
-    result.ipc = timing.ipc();
-    result.llcAccesses = llc.accesses;
-    result.llcHits = llc.hits;
-    result.llcMisses = llc.misses;
-    result.llcBypasses = llc.bypasses;
-    result.mpki = result.instructions
-        ? 1000.0 * static_cast<double>(llc.misses) /
-              static_cast<double>(result.instructions)
-        : 0.0;
-    result.bypassFraction = llc.accesses
-        ? static_cast<double>(llc.bypasses) /
-              static_cast<double>(llc.accesses)
-        : 0.0;
+    SimResult result =
+        makeSimResult(gen.name(), hierarchy.llc().policy().name(),
+                      hierarchy.llc().stats(), timing);
     if (auditor) {
         hierarchy.llc().setAuditor(nullptr);
         auditor->auditNow();

@@ -73,6 +73,14 @@ struct SimResult
 };
 
 /**
+ * A finished run's SimResult from its measured-phase LLC counters and
+ * timing model: IPC, MPKI and the bypass fraction.  Audit and telemetry
+ * fields are left for the caller.
+ */
+SimResult makeSimResult(std::string benchmark, std::string policy,
+                        const CacheStats &llc, const TimingModel &timing);
+
+/**
  * Drive `gen` through an existing hierarchy.  The caller keeps access to
  * the hierarchy for instrumentation (PD history, occupancy observers).
  */

@@ -186,6 +186,75 @@ TEST(ThreadPoolExecutor, OnCompleteStreamsIntoSinkThreadSafely)
         EXPECT_LT(sorted[i - 1].key, sorted[i].key);
 }
 
+TEST(ThreadPoolExecutor, RunManyGroupReportsItsWallTimeOnce)
+{
+    Job plain;
+    plain.key = "a/plain";
+    plain.seed = seedFor(plain.key);
+    plain.run = [](const JobContext &) { return JobOutcome{}; };
+    Job group;
+    group.key = "b/group";
+    group.seed = seedFor(group.key);
+    group.runMany = [](const JobContext &) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        std::vector<KeyedOutcome> outcomes(3);
+        for (int c = 0; c < 3; ++c)
+            outcomes[c].key = "b/cell" + std::to_string(c);
+        return outcomes;
+    };
+
+    ResultsSink sink("grouped");
+    ExecutorOptions options;
+    options.workers = 2;
+    options.onComplete = [&sink](const JobRecord &r) { sink.add(r); };
+    const auto records = ThreadPoolExecutor(options).run({plain, group});
+    ASSERT_EQ(records.size(), 4u);
+    EXPECT_TRUE(records[0].group.empty());
+    for (size_t i = 1; i < 4; ++i)
+        EXPECT_EQ(records[i].group, "b/group");
+
+    // Volatile form: grouped records name their group and carry no
+    // seconds; the group's wall time appears once, at document level.
+    const Json doc = sink.toJson();
+    const Json &jobs = *doc.find("jobs");
+    ASSERT_EQ(jobs.size(), 4u);
+    EXPECT_TRUE(jobs.at(0).find("seconds"));
+    EXPECT_FALSE(jobs.at(0).find("group"));
+    for (size_t i = 1; i < 4; ++i) {
+        EXPECT_FALSE(jobs.at(i).find("seconds"));
+        const Json *name = jobs.at(i).find("group");
+        ASSERT_TRUE(name);
+        EXPECT_EQ(name->asString(), "b/group");
+    }
+    const Json *groups = doc.find("groups");
+    ASSERT_TRUE(groups);
+    ASSERT_EQ(groups->members().size(), 1u);
+    const Json *entry = groups->find("b/group");
+    ASSERT_TRUE(entry);
+    EXPECT_EQ(entry->find("records")->asUint(), 3u);
+    EXPECT_GE(entry->find("seconds")->asNumber(), 0.02);
+
+    // Deterministic form: no trace of grouping or time.
+    const Json det = sink.toJson(false);
+    EXPECT_FALSE(det.find("groups"));
+    const Json &detJobs = *det.find("jobs");
+    for (size_t i = 0; i < detJobs.size(); ++i) {
+        EXPECT_FALSE(detJobs.at(i).find("group"));
+        EXPECT_FALSE(detJobs.at(i).find("seconds"));
+    }
+
+    // The progress line names the group and its time once.
+    ProgressReporter reporter;
+    reporter.setVerbose(true);
+    reporter.beginBatch("grouped", 2, 2);
+    testing::internal::CaptureStderr();
+    reporter.jobFinished({records.begin() + 1, records.end()}, 0);
+    const std::string line = testing::internal::GetCapturedStderr();
+    EXPECT_NE(line.find(" b/group [3 records] "), std::string::npos) << line;
+    EXPECT_EQ(line.find("b/cell"), std::string::npos) << line;
+    EXPECT_EQ(reporter.completed(), 1u);
+}
+
 TEST(Json, ScalarAndContainerRoundTrip)
 {
     Json doc = Json::object();
@@ -607,6 +676,27 @@ TEST(Suites, FilteredRunExecutesSubsetWithGenericReport)
     EXPECT_EQ(runSuite(*suite, options, out), 0);
     EXPECT_NE(out.str().find("filtered"), std::string::npos);
     EXPECT_NE(out.str().find("fig10/450.soplex/DIP"), std::string::npos);
+}
+
+TEST(Suites, FilteredLockstepRunPrintsGroupTimeOnce)
+{
+    const Suite *suite = findSuite("fig10_single_core");
+    ASSERT_NE(suite, nullptr);
+    SuiteOptions options;
+    options.scale = 0.01;
+    options.workers = 1;
+    options.lockstep = true;
+    options.filter = "450.soplex/lockstep";
+    options.jsonDir = "none";
+
+    std::ostringstream out;
+    EXPECT_EQ(runSuite(*suite, options, out), 0);
+    const std::string report = out.str();
+    const std::string line = "group fig10/450.soplex/lockstep: ";
+    const size_t at = report.find(line);
+    ASSERT_NE(at, std::string::npos) << report;
+    EXPECT_EQ(report.find(line, at + 1), std::string::npos) << report;
+    EXPECT_NE(report.find("fig10/450.soplex/PDP-3"), std::string::npos);
 }
 
 TEST(Suites, UnwritableJsonDirectoryIsAFailure)

@@ -24,7 +24,8 @@
  * the optional =DIR overrides the --json output directory.  --trace
  * additionally derives structured events (PD changes, PSEL flips,
  * partition reallocations) and writes TRACE_<suite>.jsonl; it implies
- * --telemetry.  Render either with tools/telemetry_report.py.
+ * --telemetry.  Validate either with `tools/report.py check`, render
+ * with `tools/report.py show`.
  *
  * The observability plane (DESIGN.md "Observability plane"):
  * --obs-sample-rate X head-samples service-mode request lifecycles into
@@ -35,7 +36,8 @@
  * degrading to an absent section where perf_event_open is unavailable.
  * --fault-at N trips an injected PDP_CHECK at measured access N in
  * every service job, exercising the fault flight recorder
- * (FLIGHT_<job>.json).  Render with tools/obs_report.py.
+ * (FLIGHT_<job>.json).  tools/report.py checks and shows all three
+ * file kinds.
  *
  * --explore switches the `explore` suite from the exhaustive static-PD
  * grid to the model-pruned path: the analytic estimator (src/model/)
