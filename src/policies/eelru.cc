@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "cache/cache.h"
+#include "check/check.h"
 #include "check/invariant_auditor.h"
 
 namespace pdp
@@ -29,21 +30,29 @@ EelruPolicy::attach(Cache &cache, uint32_t num_sets, uint32_t num_ways)
 void
 EelruPolicy::touch(uint32_t set, uint64_t addr, bool count_hit)
 {
+    PDP_DCHECK(addr >> 63 == 0, "EELRU: line address ", addr,
+               " does not fit a queue entry");
     auto &queue = queues_[set];
     for (size_t i = 0; i < queue.size(); ++i) {
         if (queue[i].addr != addr)
             continue;
         if (count_hit)
             ++hitsAtPos_[i + 1];
-        Entry entry = queue[i];
-        queue.erase(queue.begin() + static_cast<ptrdiff_t>(i));
-        queue.insert(queue.begin(), entry);
+        const auto at = queue.begin() + static_cast<ptrdiff_t>(i);
+        std::rotate(queue.begin(), at, at + 1);
         return;
     }
-    // Not tracked: insert fresh at MRU, trimming the shadow tail.
-    queue.insert(queue.begin(), Entry{addr, false});
-    if (queue.size() > params_.maxDepth)
-        queue.pop_back();
+    // Not tracked: insert fresh at MRU.  A full queue drops its shadow
+    // tail instead of growing, so it stays within the depth attach()
+    // reserved.
+    Entry fresh;
+    fresh.addr = addr;
+    fresh.inCache = false;
+    if (queue.size() < params_.maxDepth)
+        queue.push_back(fresh);
+    else
+        queue.back() = fresh;
+    std::rotate(queue.begin(), queue.end() - 1, queue.end());
 }
 
 void

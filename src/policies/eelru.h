@@ -64,11 +64,14 @@ class EelruPolicy : public ReplacementPolicy
     uint32_t latePoint() const { return late_; }
 
   private:
+    /** One queue slot in 8 bytes: line addresses are byte addresses
+     *  shifted right by the line size, so 63 bits hold any of them. */
     struct Entry
     {
-        uint64_t addr;
-        bool inCache;
+        uint64_t addr : 63;
+        uint64_t inCache : 1;
     };
+    static_assert(sizeof(Entry) == 8, "EELRU queue entry is 8 bytes");
 
     /** Move `addr` to the queue front, recording its previous recency
      *  position in the global histogram.  Returns nothing; cache

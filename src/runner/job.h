@@ -73,6 +73,11 @@ struct JobContext
     /** Index of the worker executing the job (reporting only; results
      *  must not depend on it). */
     unsigned worker = 0;
+    /** Threads the job may use for intra-job fan-out (e.g. the lanes of
+     *  a lockstep sweep): the whole budget, workers × max(1, hw /
+     *  workers), for a wide job; max(1, hw / workers) for a plain one.
+     *  Results must not depend on it. */
+    unsigned threads = 1;
 };
 
 /** What a job produced: structured sim results and/or scalar metrics. */
@@ -139,6 +144,10 @@ struct Job
      *  returned order, so deterministic results can't tell a fanned-out
      *  job from the equivalent independent jobs. */
     std::function<std::vector<KeyedOutcome>(const JobContext &)> runMany;
+    /** Run alone on the whole thread budget (JobContext::threads): the
+     *  executor never runs another job alongside a wide one, so only
+     *  one wide job's state is resident at a time. */
+    bool wide = false;
 };
 
 /** Outcome + bookkeeping of one executed job. */

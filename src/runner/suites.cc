@@ -155,14 +155,14 @@ lockstepSweepJob(
     std::vector<std::pair<
         std::string, std::function<std::unique_ptr<ReplacementPolicy>()>>>
         cells,
-    const SimConfig &config, unsigned threads)
+    const SimConfig &config)
 {
     Job job;
     job.key = std::move(key);
     job.seed = seedFor(benchmark);
+    job.wide = true;
     job.runMany = [benchmark = std::move(benchmark),
-                   cells = std::move(cells), config,
-                   threads](const JobContext &ctx) {
+                   cells = std::move(cells), config](const JobContext &ctx) {
         auto gen = SpecSuite::make(benchmark, ctx.seed);
         std::vector<std::function<std::unique_ptr<ReplacementPolicy>()>>
             factories;
@@ -170,7 +170,7 @@ lockstepSweepJob(
         for (const auto &cell : cells)
             factories.push_back(cell.second);
         const std::vector<SimResult> results =
-            runSingleCoreLockstep(*gen, config, factories, threads);
+            runSingleCoreLockstep(*gen, config, factories, ctx.threads);
         std::vector<KeyedOutcome> outcomes(results.size());
         for (size_t c = 0; c < results.size(); ++c) {
             outcomes[c].key = cells[c].first;
@@ -208,42 +208,26 @@ scaledConfig(const SuiteOptions &options, uint64_t accesses = 3'000'000,
     return config.scaled(options.scale);
 }
 
-/** Whether this run may group sweep cells into lockstep jobs: telemetry
- *  and event traces observe global order, so they force the independent
- *  grid (the records are byte-identical either way). */
-bool
-lockstepEligible(const SuiteOptions &options)
-{
-    return options.lockstep && !options.telemetry && !options.trace;
-}
-
-/** Intra-job worker fan-out for one lockstep group: whatever hardware
- *  parallelism the outer executor leaves unused.  Results never depend
- *  on this (it only slices the per-chunk cell walks). */
-unsigned
-lockstepThreads(const SuiteOptions &options)
-{
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned outer = options.workers ? options.workers : hw;
-    return std::max(1u, hw / std::max(1u, outer));
-}
-
 using PolicyCell = std::pair<
     std::string, std::function<std::unique_ptr<ReplacementPolicy>()>>;
 
-/** Emit one benchmark's sweep cells: independent singleCoreJobs by
- *  default, or one lockstep group job (key "<prefix>lockstep") when the
- *  options ask for it.  Record keys and seeds are identical either way,
- *  so the deterministic dumps match byte for byte. */
+/** Emit one benchmark's sweep cells as one wide lockstep group job (key
+ *  "<prefix>lockstep") over a single trace decode.  Telemetry and event
+ *  traces observe global order, so they get independent
+ *  singleCoreJobs; so does a --filter that names cells rather than the
+ *  group, which then runs just the cells it names.  Record keys and
+ *  seeds are identical either way, so the deterministic dumps match
+ *  byte for byte. */
 void
 emitCells(std::vector<Job> *jobs, const SuiteOptions &options,
           const std::string &prefix, const std::string &bench,
           std::vector<PolicyCell> cells, const SimConfig &config)
 {
-    if (lockstepEligible(options)) {
-        jobs->push_back(lockstepSweepJob(prefix + "lockstep", bench,
-                                         std::move(cells), config,
-                                         lockstepThreads(options)));
+    const std::string group = prefix + "lockstep";
+    if (!options.telemetry && !options.trace &&
+        group.find(options.filter) != std::string::npos) {
+        jobs->push_back(
+            lockstepSweepJob(group, bench, std::move(cells), config));
         return;
     }
     for (PolicyCell &cell : cells)
@@ -664,13 +648,12 @@ suiteFingerprint(const std::string &bench, uint64_t seed,
  *  microseconds, then simulate the identical cells over one lockstep
  *  decode and attach the error metrics. */
 Job
-modelValidationJob(const std::string &bench, const SimConfig &config,
-                   unsigned threads)
+modelValidationJob(const std::string &bench, const SimConfig &config)
 {
     Job job;
     job.key = "model_validation/" + bench + "/lockstep";
     job.seed = seedFor(bench);
-    job.runMany = [bench, config, threads](const JobContext &ctx) {
+    job.runMany = [bench, config](const JobContext &ctx) {
         const std::string prefix = "model_validation/" + bench + "/";
         const RddFingerprint fp = suiteFingerprint(bench, ctx.seed, config);
         const model::AnalyticModel estimator{model::ModelConfig{}};
@@ -700,7 +683,7 @@ modelValidationJob(const std::string &bench, const SimConfig &config,
 
         auto gen = SpecSuite::make(bench, ctx.seed);
         const std::vector<SimResult> results =
-            runSingleCoreLockstep(*gen, config, factories, threads);
+            runSingleCoreLockstep(*gen, config, factories, ctx.threads);
 
         std::vector<KeyedOutcome> outcomes(results.size());
         for (size_t c = 0; c < results.size(); ++c) {
@@ -731,10 +714,9 @@ buildModelValidation(const SuiteOptions &options)
     // The window the balance model was calibrated on (tests/test_model
     // pins the committed error bounds to it).
     const SimConfig config = scaledConfig(options, 2'000'000, 600'000);
-    const unsigned threads = lockstepThreads(options);
     std::vector<Job> jobs;
     for (const std::string &bench : SpecSuite::singleCoreNames())
-        jobs.push_back(modelValidationJob(bench, config, threads));
+        jobs.push_back(modelValidationJob(bench, config));
     return jobs;
 }
 
@@ -928,13 +910,12 @@ planExplore(const RddFingerprint &fp, unsigned top_k, uint64_t audit_seed)
  *  record keys as the exhaustive grid plus one "model" summary record
  *  (pure deterministic metrics, no wall-clock). */
 Job
-exploreJob(const std::string &bench, const SimConfig &config, unsigned top_k,
-           unsigned threads)
+exploreJob(const std::string &bench, const SimConfig &config, unsigned top_k)
 {
     Job job;
     job.key = "explore/" + bench + "/pruned";
     job.seed = seedFor(bench);
-    job.runMany = [bench, config, top_k, threads](const JobContext &ctx) {
+    job.runMany = [bench, config, top_k](const JobContext &ctx) {
         const std::string prefix = "explore/" + bench + "/";
         const RddFingerprint fp = suiteFingerprint(bench, ctx.seed, config);
         const ExplorePlan plan =
@@ -951,7 +932,7 @@ exploreJob(const std::string &bench, const SimConfig &config, unsigned top_k,
 
         auto gen = SpecSuite::make(bench, ctx.seed);
         const std::vector<SimResult> results =
-            runSingleCoreLockstep(*gen, config, factories, threads);
+            runSingleCoreLockstep(*gen, config, factories, ctx.threads);
 
         std::vector<KeyedOutcome> outcomes;
         outcomes.reserve(results.size() + 1);
@@ -992,8 +973,7 @@ buildExplore(const SuiteOptions &options)
         const std::string prefix = "explore/" + bench + "/";
         if (options.explore) {
             jobs.push_back(exploreJob(bench, config,
-                                      std::max(1u, options.exploreTopK),
-                                      lockstepThreads(options)));
+                                      std::max(1u, options.exploreTopK)));
             continue;
         }
         std::vector<PolicyCell> cells;

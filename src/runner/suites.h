@@ -70,11 +70,6 @@ struct SuiteOptions
      *  index in every service job (--fault-at; 0 disables).  Exercises
      *  the fault flight recorder end to end. */
     uint64_t serviceFaultAt = 0;
-    /** Group each benchmark's sweep cells into one lockstep job over a
-     *  single trace decode (--lockstep; sim/lockstep_sweep.h).  Records
-     *  are byte-identical to the independent grid.  Ignored when
-     *  telemetry/trace is on (those observe global order). */
-    bool lockstep = false;
     /** Service suite: initial (and max concurrent) tenant count
      *  (--tenants; bounded by CacheStats::kMaxThreads). */
     unsigned serviceTenants = 16;
@@ -180,14 +175,15 @@ Job serviceJob(std::string key, std::vector<TenantSpec> tenants,
  * `cells` simulated over ONE decode of `benchmark`
  * (sim/lockstep_sweep.h), producing one keyed record per cell in cell
  * order — byte-identical to the equivalent independent singleCoreJobs.
- * `threads` caps the intra-job worker fan-out over cells.
+ * The job is wide (Job::wide): it runs alone and fans its cells out over
+ * JobContext::threads.
  */
 Job lockstepSweepJob(
     std::string key, std::string benchmark,
     std::vector<std::pair<
         std::string, std::function<std::unique_ptr<ReplacementPolicy>()>>>
         cells,
-    const SimConfig &config, unsigned threads = 1);
+    const SimConfig &config);
 
 } // namespace runner
 } // namespace pdp

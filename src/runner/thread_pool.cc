@@ -1,5 +1,6 @@
 #include "runner/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -18,20 +19,19 @@ namespace runner
 ThreadPoolExecutor::ThreadPoolExecutor(ExecutorOptions options)
     : options_(std::move(options))
 {
-    workers_ = options_.workers;
-    if (workers_ == 0) {
-        workers_ = std::thread::hardware_concurrency();
-        if (workers_ == 0)
-            workers_ = 1;
-    }
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    workers_ = options_.workers ? options_.workers : hw;
+    plainThreads_ = std::max(1u, hw / workers_);
 }
 
 std::vector<JobRecord>
-ThreadPoolExecutor::execute(const Job &job, unsigned worker) const
+ThreadPoolExecutor::execute(const Job &job, unsigned worker,
+                            unsigned threads) const
 {
     JobContext ctx;
     ctx.seed = job.seed;
     ctx.worker = worker;
+    ctx.threads = threads;
 
     std::vector<JobRecord> group;
 
@@ -147,37 +147,53 @@ ThreadPoolExecutor::run(const std::vector<Job> &jobs)
     // Per-input-index record groups, flattened in input order below so a
     // runMany job's expansion lands exactly where its jobs-list slot is.
     std::vector<std::vector<JobRecord>> groups(jobs.size());
-    std::atomic<size_t> next{0};
     std::atomic<unsigned> busy{0};
 
-    auto worker = [&](unsigned id) {
-        for (;;) {
-            const size_t index = next.fetch_add(1);
-            if (index >= jobs.size())
-                return;
-            busy.fetch_add(1);
-            groups[index] = execute(jobs[index], id);
-            const unsigned stillBusy = busy.fetch_sub(1) - 1;
-            if (options_.reporter)
-                options_.reporter->jobFinished(groups[index], stillBusy);
-            if (options_.onComplete) {
-                for (const JobRecord &record : groups[index])
-                    options_.onComplete(record);
-            }
+    const auto runJob = [&](size_t index, unsigned id, unsigned threads) {
+        busy.fetch_add(1);
+        groups[index] = execute(jobs[index], id, threads);
+        const unsigned stillBusy = busy.fetch_sub(1) - 1;
+        if (options_.reporter)
+            options_.reporter->jobFinished(groups[index], stillBusy);
+        if (options_.onComplete) {
+            for (const JobRecord &record : groups[index])
+                options_.onComplete(record);
         }
     };
 
-    const unsigned fanOut = static_cast<unsigned>(
-        std::min<size_t>(workers_, jobs.size()));
-    if (fanOut <= 1) {
-        worker(0);
-    } else {
+    // Plain jobs [begin, end) on the worker pool.
+    const auto runPlain = [&](size_t begin, size_t end) {
+        std::atomic<size_t> next{begin};
+        auto worker = [&](unsigned id) {
+            for (size_t index = next.fetch_add(1); index < end;
+                 index = next.fetch_add(1))
+                runJob(index, id, plainThreads_);
+        };
+        const unsigned fanOut =
+            static_cast<unsigned>(std::min<size_t>(workers_, end - begin));
+        if (fanOut <= 1) {
+            worker(0);
+            return;
+        }
         std::vector<std::thread> threads;
         threads.reserve(fanOut);
         for (unsigned id = 0; id < fanOut; ++id)
             threads.emplace_back(worker, id);
         for (std::thread &t : threads)
             t.join();
+    };
+
+    // A wide job runs alone, on this thread, with the whole budget.
+    for (size_t begin = 0; begin < jobs.size();) {
+        if (jobs[begin].wide) {
+            runJob(begin++, 0, workers_ * plainThreads_);
+            continue;
+        }
+        size_t end = begin;
+        while (end < jobs.size() && !jobs[end].wide)
+            ++end;
+        runPlain(begin, end);
+        begin = end;
     }
 
     std::vector<JobRecord> records;

@@ -11,6 +11,9 @@
  *  - **Fault isolation.**  A job that throws becomes a Failed record
  *    carrying the exception message; the sweep always completes and the
  *    remaining jobs are unaffected.
+ *  - **Wide jobs run alone.**  A Job::wide job runs on the calling
+ *    thread with the whole thread budget while no other job runs;
+ *    the plain jobs between two wide ones share the worker pool.
  *  - **Soft timeouts.**  The runner cannot preempt a compute-bound
  *    simulation, so a timeout does not abort the job: a job whose
  *    wall-clock duration exceeds its budget completes and is recorded
@@ -76,10 +79,13 @@ class ThreadPoolExecutor
 
   private:
     /** Execute one job; always returns at least one record. */
-    std::vector<JobRecord> execute(const Job &job, unsigned worker) const;
+    std::vector<JobRecord> execute(const Job &job, unsigned worker,
+                                   unsigned threads) const;
 
     ExecutorOptions options_;
     unsigned workers_ = 1;
+    /** JobContext::threads of a plain job: max(1, hw / workers). */
+    unsigned plainThreads_ = 1;
 };
 
 } // namespace runner

@@ -15,9 +15,13 @@
  * the byte-identity tests pin down.
  *
  * On top of the amortization, the per-chunk config walks are
- * independent (each config's Cache, policy, LLC-hit buffer and timing
- * model are private), so they fan out across `threads` workers with a
- * join barrier per chunk.
+ * independent (each config's Cache, policy and timing model are
+ * private), so they fan out across `threads` workers that live for the
+ * whole call and claim configs one at a time.  The calling thread is
+ * the front end: it decodes chunk k + 1 while the workers replay chunk
+ * k, then joins the replay.  Chunks still reach every config strictly
+ * in order, and the L2 never sees LLC state, so the fan-out cannot
+ * change a result.
  */
 
 #ifndef PDP_SIM_LOCKSTEP_SWEEP_H
@@ -36,8 +40,9 @@ namespace pdp
 
 /**
  * Simulate every policy in `makePolicies` over one decode of `gen`,
- * returning one SimResult per factory, in input order.  `threads` caps
- * the per-chunk worker fan-out over configs (0 or 1 = inline).
+ * returning one SimResult per factory, in input order.  `threads` is
+ * the whole thread budget, the calling thread included (0 or 1 = inline
+ * on the caller, one chunk buffer).
  * Telemetry/audit/prefetcher configs are rejected (they observe global
  * order and belong to the sequential driver).
  */

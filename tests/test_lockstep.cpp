@@ -10,20 +10,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/hierarchy.h"
 #include "core/pdp_policy.h"
+#include "policies/basic.h"
+#include "policies/rrip.h"
 #include "runner/json.h"
 #include "runner/results_sink.h"
 #include "runner/suites.h"
 #include "runner/thread_pool.h"
 #include "sim/lockstep_sweep.h"
 #include "sim/policy_factory.h"
+#include "sim/static_pd_search.h"
 #include "trace/spec_suite.h"
 
 using namespace pdp;
@@ -120,6 +127,75 @@ TEST(LockstepSweepTest, ThreadCountDoesNotChangeResults)
     ASSERT_EQ(one.size(), four.size());
     for (size_t c = 0; c < one.size(); ++c)
         expectSameResult(one[c], four[c]);
+}
+
+TEST(LockstepSweepTest, Fig10RosterIsExactAtEveryThreadCount)
+{
+    // The fig10 roster (EELRU included) at lane-worker counts that do
+    // and don't divide its 26 lanes, and at more threads than lanes.
+    // Two warmup chunks plus four measured ones: the double-buffered
+    // front end decodes ahead across the warmup/measured boundary.
+    std::vector<PolicyFactory> factories;
+    for (const std::string &policy : fig10PolicyNames())
+        factories.push_back([policy] { return makePolicy(policy); });
+    for (uint32_t pd : defaultPdGrid())
+        factories.push_back([pd] { return makeSpdpB(pd); });
+    ASSERT_EQ(factories.size(), 26u);
+    SimConfig config;
+    config.accesses = 100'000;
+    config.warmup = 40'000;
+
+    std::vector<SimResult> plain;
+    for (const PolicyFactory &factory : factories)
+        plain.push_back(sequentialRun("482.sphinx3", factory, config));
+    for (unsigned threads : {1u, 2u, 3u, 4u, 5u, 32u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        auto gen = SpecSuite::make("482.sphinx3", seedFor("482.sphinx3"));
+        const std::vector<SimResult> lockstep =
+            runSingleCoreLockstep(*gen, config, factories, threads);
+        ASSERT_EQ(lockstep.size(), plain.size());
+        for (size_t c = 0; c < plain.size(); ++c) {
+            SCOPED_TRACE(plain[c].policy);
+            expectSameResult(lockstep[c], plain[c]);
+        }
+    }
+}
+
+/** LRU that throws on its Nth fill: a lane failing mid-stream. */
+class ThrowingLru : public LruPolicy
+{
+  public:
+    void
+    onInsert(const AccessContext &ctx, int way) override
+    {
+        if (++fills_ == 50'000)
+            throw std::runtime_error("injected lane failure");
+        LruPolicy::onInsert(ctx, way);
+    }
+
+  private:
+    uint64_t fills_ = 0;
+};
+
+TEST(LockstepSweepTest, LaneFailureSurfacesOnTheCaller)
+{
+    // The exception crosses from whichever lane worker ran the failing
+    // lane to the caller, at any thread count, and the workers wind
+    // down cleanly.
+    std::vector<PolicyFactory> factories(
+        6, [] { return makePolicy("LRU"); });
+    factories.insert(factories.begin() + 3,
+                     [] { return std::make_unique<ThrowingLru>(); });
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        auto gen = SpecSuite::make("429.mcf", seedFor("429.mcf"));
+        try {
+            runSingleCoreLockstep(*gen, quickConfig(), factories, threads);
+            ADD_FAILURE() << "lane failure was swallowed";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "injected lane failure");
+        }
+    }
 }
 
 TEST(LockstepSweepTest, RejectsGlobalOrderObservers)
@@ -220,21 +296,82 @@ TEST(ThreadPoolExecutorMany, EmptyGroupIsAFailure)
 }
 
 // ---------------------------------------------------------------------------
-// Suite-level byte-identity: lockstep grids dump the same documents.
+// Runner: wide jobs run alone on the whole thread budget.
+
+TEST(ThreadPoolExecutorWide, WideJobsRunAloneInInputOrder)
+{
+    // Every job sleeps while counted as active, so any job alongside a
+    // wide one would be seen; the plain runs show the count does see
+    // concurrency.
+    std::atomic<int> active{0}, plainPeak{0}, wideCrowded{0};
+    const auto makeJob = [&](std::string key, bool wide, bool fail) {
+        Job job;
+        job.key = std::move(key);
+        job.seed = seedFor(job.key);
+        job.wide = wide;
+        job.run = [&, wide, fail](const JobContext &ctx) {
+            const int now = ++active;
+            int peak = plainPeak.load();
+            while (!wide && now > peak &&
+                   !plainPeak.compare_exchange_weak(peak, now)) {
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(30));
+            if (wide && (now != 1 || active.load() != 1))
+                ++wideCrowded;
+            --active;
+            if (fail)
+                throw std::runtime_error("injected failure");
+            JobOutcome outcome;
+            outcome.metrics["threads"] = ctx.threads;
+            return outcome;
+        };
+        return job;
+    };
+    std::vector<Job> jobs;
+    for (int i = 0; i < 4; ++i)
+        jobs.push_back(makeJob("p" + std::to_string(i), false, false));
+    jobs.push_back(makeJob("w4", true, true));
+    jobs.push_back(makeJob("p5", false, true));
+    jobs.push_back(makeJob("p6", false, false));
+    jobs.push_back(makeJob("w7", true, false));
+    jobs.push_back(makeJob("w8", true, false));
+    for (int i = 9; i < 13; ++i)
+        jobs.push_back(makeJob("p" + std::to_string(i), false, false));
+
+    ExecutorOptions options;
+    options.workers = 4;
+    const auto records = ThreadPoolExecutor(options).run(jobs);
+
+    EXPECT_EQ(wideCrowded.load(), 0);
+    EXPECT_GE(plainPeak.load(), 2);
+    ASSERT_EQ(records.size(), jobs.size());
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    const double plainThreads = std::max(1u, hw / 4);
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(jobs[i].key);
+        EXPECT_EQ(records[i].key, jobs[i].key);
+        const bool failed = jobs[i].key == "w4" || jobs[i].key == "p5";
+        EXPECT_EQ(records[i].status,
+                  failed ? JobStatus::Failed : JobStatus::Ok);
+        if (!failed) {
+            EXPECT_EQ(records[i].outcome.metrics.at("threads"),
+                      jobs[i].wide ? 4 * plainThreads : plainThreads);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Suite-level byte-identity: the sweep suites' wide lockstep groups dump
+// the same documents as an explicitly built independent grid.
 
 namespace
 {
 
+using Cell = std::pair<std::string, PolicyFactory>;
+
 std::string
-suiteDump(const std::string &suiteName, const SuiteOptions &options)
+runDump(const std::string &suiteName, const std::vector<Job> &jobs)
 {
-    const Suite *suite = findSuite(suiteName);
-    EXPECT_NE(suite, nullptr);
-    std::vector<Job> jobs = suite->buildJobs(options);
-    std::erase_if(jobs, [&](const Job &job) {
-        return job.key.find(options.filter) == std::string::npos;
-    });
-    EXPECT_FALSE(jobs.empty());
     ResultsSink sink(suiteName);
     ExecutorOptions eopts;
     eopts.workers = 2;
@@ -243,18 +380,59 @@ suiteDump(const std::string &suiteName, const SuiteOptions &options)
     return sink.toJson(/*includeVolatile=*/false).dump(2);
 }
 
+/** The suite's own jobs for one benchmark, which must be one wide
+ *  lockstep group. */
+std::string
+groupDump(const std::string &suiteName, const std::string &prefix)
+{
+    const Suite *suite = findSuite(suiteName);
+    EXPECT_NE(suite, nullptr);
+    SuiteOptions options;
+    options.scale = 0.02;
+    options.filter = prefix;
+    std::vector<Job> jobs = suite->buildJobs(options);
+    std::erase_if(jobs, [&](const Job &job) {
+        return job.key.find(prefix) == std::string::npos;
+    });
+    EXPECT_EQ(jobs.size(), 1u);
+    EXPECT_EQ(jobs.at(0).key, prefix + "lockstep");
+    EXPECT_TRUE(jobs.at(0).wide);
+    return runDump(suiteName, jobs);
+}
+
+/** The independent oracle: one singleCoreJob per cell. */
+std::string
+independentDump(const std::string &suiteName, const std::string &bench,
+                const std::vector<Cell> &cells, const SimConfig &config)
+{
+    std::vector<Job> jobs;
+    for (const Cell &cell : cells)
+        jobs.push_back(singleCoreJob(cell.first, bench, cell.second, config));
+    return runDump(suiteName, jobs);
+}
+
 } // namespace
 
 TEST(SuiteLockstepTest, Fig4LockstepDumpMatchesIndependent)
 {
-    SuiteOptions independent;
-    independent.scale = 0.02;
-    independent.filter = "fig4/429.mcf/";
-    SuiteOptions lockstep = independent;
-    lockstep.lockstep = true;
+    const std::string prefix = "fig4/429.mcf/";
+    std::vector<Cell> cells;
+    for (unsigned denom : {4u, 8u, 16u, 32u, 64u, 128u})
+        cells.emplace_back(prefix + "DRRIP-eps:" + std::to_string(denom),
+                           [denom] { return makeDrrip(1.0 / denom); });
+    for (uint32_t pd : defaultPdGrid()) {
+        cells.emplace_back(prefix + "SPDP-NB:" + std::to_string(pd),
+                           [pd] { return makeSpdpNb(pd); });
+        cells.emplace_back(prefix + "SPDP-B:" + std::to_string(pd),
+                           [pd] { return makeSpdpB(pd); });
+    }
+    SimConfig config;
+    config.accesses = 2'000'000;
+    config.warmup = 800'000;
 
-    const std::string a = suiteDump("fig4_static_pdp", independent);
-    const std::string b = suiteDump("fig4_static_pdp", lockstep);
+    const std::string a = independentDump("fig4_static_pdp", "429.mcf",
+                                          cells, config.scaled(0.02));
+    const std::string b = groupDump("fig4_static_pdp", prefix);
     EXPECT_EQ(a, b);
     EXPECT_NE(a.find("\"llc_misses\""), std::string::npos);
 }
@@ -263,16 +441,48 @@ TEST(SuiteLockstepTest, Fig10LockstepDumpMatchesIndependent)
 {
     // One benchmark's full fig10 grid: DIP, DRRIP, EELRU, SDP, the
     // dynamic PDPs and the 19-point SPDP-B sweep — 26 cells.
-    SuiteOptions independent;
-    independent.scale = 0.02;
-    independent.filter = "fig10/429.mcf/";
-    SuiteOptions lockstep = independent;
-    lockstep.lockstep = true;
+    const std::string prefix = "fig10/429.mcf/";
+    std::vector<Cell> cells;
+    for (const std::string &policy : fig10PolicyNames())
+        cells.emplace_back(prefix + policy,
+                           [policy] { return makePolicy(policy); });
+    for (uint32_t pd : defaultPdGrid())
+        cells.emplace_back(prefix + "SPDP-B:" + std::to_string(pd),
+                           [pd] { return makeSpdpB(pd); });
+    SimConfig config;
+    config.accesses = 3'000'000;
+    config.warmup = 1'000'000;
 
-    const std::string a = suiteDump("fig10_single_core", independent);
-    const std::string b = suiteDump("fig10_single_core", lockstep);
+    const std::string a = independentDump("fig10_single_core", "429.mcf",
+                                          cells, config.scaled(0.02));
+    const std::string b = groupDump("fig10_single_core", prefix);
     EXPECT_EQ(a, b);
     const auto doc = Json::parse(a);
     ASSERT_TRUE(doc.has_value());
     EXPECT_EQ(doc->find("jobs")->size(), 26u);
+}
+
+TEST(SuiteLockstepTest, ObserversAndCellFiltersGetIndependentJobs)
+{
+    const Suite *suite = findSuite("fig10_single_core");
+    ASSERT_NE(suite, nullptr);
+    const auto wideJobs = [](const std::vector<Job> &jobs) {
+        return std::count_if(jobs.begin(), jobs.end(),
+                             [](const Job &job) { return job.wide; });
+    };
+
+    SuiteOptions options;
+    options.scale = 0.02;
+    const std::vector<Job> grouped = suite->buildJobs(options);
+    EXPECT_EQ(wideJobs(grouped),
+              static_cast<long>(SpecSuite::singleCoreNames().size()));
+    EXPECT_EQ(grouped.size(), SpecSuite::singleCoreNames().size());
+
+    SuiteOptions traced = options;
+    traced.telemetry = true;
+    EXPECT_EQ(wideJobs(suite->buildJobs(traced)), 0);
+
+    SuiteOptions cellFilter = options;
+    cellFilter.filter = "429.mcf/EELRU";
+    EXPECT_EQ(wideJobs(suite->buildJobs(cellFilter)), 0);
 }

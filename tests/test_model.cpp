@@ -481,8 +481,9 @@ TEST(ExploreSuite, PrunedRunReproducesTheExhaustiveWinner)
     // 2 families x top-3, one seeded audit cell, the summary record.
     ASSERT_EQ(outcomes.size(), 8u);
 
-    // Exhaustive side: the same suite without --explore emits one
-    // independent job per grid cell with identical keys and config.
+    // Exhaustive side: the same suite without --explore simulates every
+    // grid cell (one lockstep group per benchmark) with identical keys
+    // and config.
     runner::SuiteOptions exhaustive_options;
     exhaustive_options.scale = 0.2;
     const std::vector<runner::Job> exhaustive_jobs =
@@ -493,9 +494,11 @@ TEST(ExploreSuite, PrunedRunReproducesTheExhaustiveWinner)
             continue;
         runner::JobContext cell_ctx;
         cell_ctx.seed = j.seed;
-        const runner::JobOutcome out = j.run(cell_ctx);
-        ASSERT_TRUE(out.single.has_value()) << j.key;
-        exhaustive.emplace(j.key, *out.single);
+        ASSERT_TRUE(j.runMany) << j.key;
+        for (const runner::KeyedOutcome &keyed : j.runMany(cell_ctx)) {
+            ASSERT_TRUE(keyed.outcome.single.has_value()) << keyed.key;
+            exhaustive.emplace(keyed.key, *keyed.outcome.single);
+        }
     }
     ASSERT_EQ(exhaustive.size(), 38u);
 

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "cache/cache.h"
 #include "policies/basic.h"
 #include "policies/dip.h"
@@ -16,6 +20,7 @@
 #include "policies/sdp.h"
 #include "policies/ship.h"
 #include "sim/policy_factory.h"
+#include "util/rng.h"
 
 using namespace pdp;
 
@@ -49,6 +54,176 @@ fillSetZero(Cache &cache, uint32_t ways, uint64_t base = 0)
         cache.access(at(base + i * 4));
 }
 
+
+/**
+ * A frozen copy of EelruPolicy from before its queue entries were packed
+ * into 8 bytes: 16-byte entries, and every touch an erase plus an
+ * insert at the front.  The differential test holds the live policy to
+ * it decision for decision.
+ */
+class VectorEelru : public ReplacementPolicy
+{
+  public:
+    explicit VectorEelru(EelruPolicy::Params params)
+        : params_(std::move(params))
+    {
+    }
+
+    const std::string &
+    name() const override
+    {
+        static const std::string n = "EELRU-vector";
+        return n;
+    }
+
+    void
+    attach(Cache &cache, uint32_t num_sets, uint32_t num_ways) override
+    {
+        ReplacementPolicy::attach(cache, num_sets, num_ways);
+        queues_.assign(num_sets, {});
+        for (auto &queue : queues_)
+            queue.reserve(params_.maxDepth);
+        hitsAtPos_.assign(params_.maxDepth + 1, 0);
+        prefix_.assign(hitsAtPos_.size() + 1, 0);
+    }
+
+    void
+    onHit(const AccessContext &ctx, int) override
+    {
+        touch(ctx.set, ctx.lineAddr, !ctx.isWriteback);
+        queues_[ctx.set].front().inCache = true;
+        maybeRetune();
+    }
+
+    int
+    selectVictim(const AccessContext &ctx) override
+    {
+        auto &queue = queues_[ctx.set];
+        const auto wayOf = [&](uint64_t addr) {
+            for (uint32_t way = 0; way < numWays_; ++way)
+                if (cache_->isValid(ctx.set, way) &&
+                    cache_->lineAddr(ctx.set, way) == addr)
+                    return static_cast<int>(way);
+            return -1;
+        };
+        int victim_way = -1;
+        if (early_ > 0) {
+            uint32_t pos = 0;
+            for (const Entry &entry : queue) {
+                ++pos;
+                if (pos < early_ || !entry.inCache)
+                    continue;
+                victim_way = wayOf(entry.addr);
+                if (victim_way >= 0)
+                    break;
+            }
+        }
+        if (victim_way < 0) {
+            for (auto it = queue.rbegin(); it != queue.rend(); ++it) {
+                if (!it->inCache)
+                    continue;
+                victim_way = wayOf(it->addr);
+                if (victim_way >= 0)
+                    break;
+            }
+        }
+        if (victim_way < 0)
+            victim_way = 0;
+        const uint64_t victim_addr = cache_->lineAddr(ctx.set, victim_way);
+        for (Entry &entry : queue) {
+            if (entry.addr == victim_addr) {
+                entry.inCache = false;
+                break;
+            }
+        }
+        return victim_way;
+    }
+
+    void
+    onInsert(const AccessContext &ctx, int) override
+    {
+        touch(ctx.set, ctx.lineAddr, !ctx.isWriteback);
+        queues_[ctx.set].front().inCache = true;
+        maybeRetune();
+    }
+
+    uint32_t earlyPoint() const { return early_; }
+    uint32_t latePoint() const { return late_; }
+
+  private:
+    struct Entry
+    {
+        uint64_t addr;
+        bool inCache;
+    };
+
+    void
+    touch(uint32_t set, uint64_t addr, bool count_hit)
+    {
+        auto &queue = queues_[set];
+        for (size_t i = 0; i < queue.size(); ++i) {
+            if (queue[i].addr != addr)
+                continue;
+            if (count_hit)
+                ++hitsAtPos_[i + 1];
+            Entry entry = queue[i];
+            queue.erase(queue.begin() + static_cast<ptrdiff_t>(i));
+            queue.insert(queue.begin(), entry);
+            return;
+        }
+        queue.insert(queue.begin(), Entry{addr, false});
+        if (queue.size() > params_.maxDepth)
+            queue.pop_back();
+    }
+
+    void
+    maybeRetune()
+    {
+        if (++accessCount_ % params_.epochAccesses != 0)
+            return;
+        std::fill(prefix_.begin(), prefix_.end(), 0);
+        for (size_t p = 1; p < hitsAtPos_.size(); ++p)
+            prefix_[p + 1] = prefix_[p] + hitsAtPos_[p];
+        auto hits_upto = [&](uint32_t pos) {
+            pos = std::min<uint32_t>(pos, params_.maxDepth);
+            return prefix_[pos + 1];
+        };
+        double best_score = static_cast<double>(hits_upto(numWays_));
+        uint32_t best_e = 0, best_l = 0;
+        for (uint32_t e : params_.earlyPoints) {
+            if (e >= numWays_)
+                continue;
+            for (uint32_t l : params_.latePoints) {
+                if (l <= numWays_ || l > params_.maxDepth)
+                    continue;
+                const double early_hits =
+                    static_cast<double>(hits_upto(e - 1));
+                const double region = static_cast<double>(
+                    hits_upto(l) - hits_upto(e - 1));
+                const double keep = static_cast<double>(numWays_ - e) /
+                    static_cast<double>(l - e);
+                const double score = early_hits + keep * region;
+                if (score > best_score) {
+                    best_score = score;
+                    best_e = e;
+                    best_l = l;
+                }
+            }
+        }
+        early_ = best_e;
+        late_ = best_l;
+        for (auto &h : hitsAtPos_)
+            h /= 2;
+    }
+
+    EelruPolicy::Params params_;
+    std::vector<std::vector<Entry>> queues_;
+    std::vector<uint64_t> hitsAtPos_;
+    std::vector<uint64_t> prefix_;
+    uint64_t accessCount_ = 0;
+    uint32_t early_ = 0;
+    uint32_t late_ = 0;
+};
 } // namespace
 
 TEST(Lru, CyclicThrashNeverHits)
@@ -183,6 +358,72 @@ TEST(Eelru, TracksShadowDepthBeyondAssociativity)
         for (uint64_t line = 0; line < 6; ++line)
             cache.access(at(line));
     EXPECT_GT(cache.stats().hits, 0u);
+}
+
+TEST(Eelru, PackedQueueMatchesTheVectorQueueDecisionForDecision)
+{
+    // Random geometries and traces: recency-skewed reuse (hits at every
+    // queue depth, shadow region included), fresh lines that overflow
+    // full queues, and writebacks (which touch without counting).
+    Rng rng(0xee1u);
+    int earlyTrials = 0;
+    for (int trial = 0; trial < 24; ++trial) {
+        const uint32_t sets = 1u << rng.below(5);
+        const uint32_t ways = 2u << rng.below(4);
+        EelruPolicy::Params params;
+        params.maxDepth = std::max<uint32_t>(
+            ways + 2, static_cast<uint32_t>(16 + rng.below(241)));
+        params.epochAccesses = 32u << rng.below(5);
+        SCOPED_TRACE(::testing::Message()
+                     << "trial " << trial << ": " << sets << " sets x "
+                     << ways << " ways, depth " << params.maxDepth
+                     << ", epoch " << params.epochAccesses);
+
+        auto packed = std::make_unique<EelruPolicy>(params);
+        auto vector = std::make_unique<VectorEelru>(params);
+        const EelruPolicy &p = *packed;
+        const VectorEelru &v = *vector;
+        Cache live(tinyConfig(sets, ways), std::move(packed));
+        Cache frozen(tinyConfig(sets, ways), std::move(vector));
+
+        const uint64_t footprint =
+            sets * (ways + rng.below(2 * params.maxDepth));
+        std::vector<uint64_t> recent;
+        uint64_t evictions = 0;
+        bool early = false;
+        for (int i = 0; i < 40'000; ++i) {
+            uint64_t line;
+            if (!recent.empty() && rng.chance(0.7)) {
+                const uint64_t depth = std::clamp<uint64_t>(
+                    rng.geometric(3.0 * ways), 1, recent.size());
+                line = recent[recent.size() - depth];
+            } else {
+                line = rng.below(footprint);
+            }
+            recent.push_back(line);
+            if (recent.size() > 4096)
+                recent.erase(recent.begin(), recent.begin() + 2048);
+            AccessContext ctx = at(line);
+            ctx.isWriteback = rng.chance(0.1);
+            ctx.isWrite = ctx.isWriteback || rng.chance(0.2);
+            const AccessOutcome a = live.access(ctx);
+            const AccessOutcome b = frozen.access(ctx);
+            ASSERT_EQ(a.hit, b.hit) << "access " << i;
+            ASSERT_EQ(a.evictedValid, b.evictedValid) << "access " << i;
+            if (a.evictedValid) {
+                ++evictions;
+                ASSERT_EQ(a.way, b.way) << "access " << i;
+                ASSERT_EQ(a.evictedAddr, b.evictedAddr) << "access " << i;
+            }
+            ASSERT_EQ(p.earlyPoint(), v.earlyPoint()) << "access " << i;
+            ASSERT_EQ(p.latePoint(), v.latePoint()) << "access " << i;
+            early = early || p.earlyPoint() > 0;
+        }
+        EXPECT_GT(evictions, 0u);
+        earlyTrials += early ? 1 : 0;
+    }
+    // Early eviction (the queue-walking victim path) must be exercised.
+    EXPECT_GT(earlyTrials, 0);
 }
 
 TEST(DeadBlockPredictor, LearnsDeadSignatures)

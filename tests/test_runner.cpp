@@ -463,7 +463,9 @@ TEST(Suites, RegistryHasThePortedFiguresAndUniqueJobKeys)
             EXPECT_TRUE(keys.insert(job.key).second)
                 << name << ": duplicate key " << job.key;
             EXPECT_NE(job.seed, 0u) << job.key;
-            EXPECT_TRUE(job.run != nullptr) << job.key;
+            // Sweep suites emit runMany lockstep groups by default.
+            EXPECT_TRUE((job.run != nullptr) != (job.runMany != nullptr))
+                << job.key;
         }
     }
     EXPECT_EQ(findSuite("no_such_suite"), nullptr);
@@ -685,7 +687,6 @@ TEST(Suites, FilteredLockstepRunPrintsGroupTimeOnce)
     SuiteOptions options;
     options.scale = 0.01;
     options.workers = 1;
-    options.lockstep = true;
     options.filter = "450.soplex/lockstep";
     options.jsonDir = "none";
 

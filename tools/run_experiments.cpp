@@ -11,13 +11,14 @@
  *                   [--telemetry[=DIR]] [--trace]
  *                   [--obs-sample-rate X] [--perf-counters]
  *                   [--fault-at N]
- *                   [--lockstep]
  *                   [--tenants N] [--churn N] [--deterministic-json]
  *                   [--explore] [--explore-topk N]
  *
- * --lockstep groups each benchmark's sweep cells into one job over a
- * single trace decode, producing records byte-identical to the default
- * independent grid.
+ * The sweep suites (fig4, fig10, exhaustive explore) run each
+ * benchmark's policy grid as one wide job over a single trace decode,
+ * on every worker; --telemetry/--trace, or a --filter naming cells
+ * rather than a benchmark's "<prefix>lockstep" group, run independent
+ * per-cell jobs instead.  Records are byte-identical either way.
  *
  * --telemetry records per-epoch policy snapshots (PD, RDD, PSEL,
  * partition allocations, interval hit rates) into each job's results;
@@ -84,14 +85,13 @@ printUsage(std::FILE *to)
                  "                       [--telemetry[=DIR]] [--trace]\n"
                  "                       [--obs-sample-rate X]\n"
                  "                       [--perf-counters] [--fault-at N]\n"
-                 "                       [--lockstep]\n"
                  "                       [--tenants N] [--churn N]\n"
                  "                       [--deterministic-json]\n"
                  "                       [--explore] [--explore-topk N]\n"
                  "\n"
-                 "--lockstep runs each benchmark's sweep cells over one\n"
-                 "trace decode, keeping records byte-identical to the\n"
-                 "independent grid.\n"
+                 "Sweep suites run each benchmark's grid as one job over\n"
+                 "one trace decode on every worker; --telemetry, --trace\n"
+                 "or a --filter naming cells run independent cell jobs.\n"
                  "\n"
                  "--telemetry samples per-epoch policy state into the\n"
                  "BENCH json (optional =DIR overrides --json); --trace\n"
@@ -166,8 +166,6 @@ main(int argc, char **argv)
                 return 2;
             }
             options.workers = static_cast<unsigned>(*jobs);
-        } else if (arg == "--lockstep") {
-            options.lockstep = true;
         } else if (arg == "--tenants") {
             const auto tenants = pdp::parseUnsigned(needValue(i));
             if (!tenants || *tenants == 0 || *tenants > 32) {
