@@ -9,24 +9,44 @@ RdProfiler::RdProfiler(uint32_t num_sets, uint32_t d_max)
 {
 }
 
+RdProfiler::LineState &
+RdProfiler::probe(SetState &state, uint64_t line_addr)
+{
+    // Lines of one set share their low (index) bits: hash with the
+    // high half of a multiplicative mix instead.
+    const size_t mask = state.slots.size() - 1;
+    size_t i = static_cast<size_t>(
+        (line_addr * 0x9e3779b97f4a7c15ULL) >> 32) & mask;
+    while (state.slots[i].used && state.slots[i].lineAddr != line_addr)
+        i = (i + 1) & mask;
+    return state.slots[i];
+}
+
+void
+RdProfiler::grow(SetState &state)
+{
+    std::vector<LineState> old = std::move(state.slots);
+    state.slots.assign(old.empty() ? 8 : 2 * old.size(), LineState{});
+    for (const LineState &line : old)
+        if (line.used)
+            probe(state, line.lineAddr) = line;
+}
+
 void
 RdProfiler::prune(SetState &state)
 {
     // Entries older than d_max can only produce overflow observations;
     // drop them to bound memory on streaming workloads.
-    if (state.lastAccess.size() < 4ull * dMax_)
+    if (state.lines < 4ull * dMax_)
         return;
-    // pdplint: allow(unordered-iter) order-independent sweep: each
-    // entry is dropped or kept on its own (counter, dMax_) predicate,
-    // nothing is emitted, and the surviving map contents are identical
-    // whatever order the buckets are walked in.  No emission path
-    // iterates lastAccess (the RDD histogram is the only output).
-    for (auto it = state.lastAccess.begin(); it != state.lastAccess.end();) {
-        if (state.counter - it->second.lastAccess > dMax_)
-            it = state.lastAccess.erase(it);
-        else
-            ++it;
-    }
+    std::vector<LineState> old = std::move(state.slots);
+    state.slots.assign(old.size(), LineState{});
+    state.lines = 0;
+    for (const LineState &line : old)
+        if (line.used && state.counter - line.lastAccess <= dMax_) {
+            probe(state, line.lineAddr) = line;
+            ++state.lines;
+        }
 }
 
 void
@@ -36,24 +56,27 @@ RdProfiler::observe(uint32_t set, uint64_t line_addr)
     ++state.counter;
     ++accesses_;
 
-    auto it = state.lastAccess.find(line_addr);
-    if (it != state.lastAccess.end()) {
-        const uint64_t rd = state.counter - it->second.lastAccess;
+    if (2 * (state.lines + 1) > state.slots.size())
+        grow(state);
+    LineState &line = probe(state, line_addr);
+    if (line.used) {
+        const uint64_t rd = state.counter - line.lastAccess;
         if (rd >= 1 && rd <= dMax_) {
             histogram_.add(static_cast<size_t>(rd - 1));
-            const uint32_t prev = it->second.prevDist;
+            const uint32_t prev = line.prevDist;
             if (prev >= 1 && prev <= dMax_) {
                 const uint64_t mx = rd > prev ? rd : prev;
                 pairHistogram_.add(static_cast<size_t>(mx - 1));
             }
-            it->second.prevDist = static_cast<uint32_t>(rd);
+            line.prevDist = static_cast<uint32_t>(rd);
         } else {
             histogram_.add(dMax_); // overflow bucket
-            it->second.prevDist = dMax_ + 1;
+            line.prevDist = dMax_ + 1;
         }
-        it->second.lastAccess = state.counter;
+        line.lastAccess = state.counter;
     } else {
-        state.lastAccess.emplace(line_addr, LineState{state.counter, 0});
+        line = LineState{line_addr, state.counter, 0, true};
+        ++state.lines;
         prune(state);
     }
 }

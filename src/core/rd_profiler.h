@@ -13,7 +13,6 @@
 #define PDP_CORE_RD_PROFILER_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "util/stats.h"
@@ -87,21 +86,32 @@ class RdProfiler
     void clearCounts();
 
   private:
+    /** One tracked line of a set's open-addressing table. */
     struct LineState
     {
+        uint64_t lineAddr = 0;
         /** set-access count at the line's previous access */
         uint64_t lastAccess = 0;
         /** the line's previous reuse distance: 0 = none yet (first
          *  touch), dMax_+1 = previous reuse overflowed the reach */
         uint32_t prevDist = 0;
+        /** Slot holds a line (every address, UINT64_MAX included, is a
+         *  valid key, so no key value can mark a free slot). */
+        bool used = false;
     };
 
+    /** A set's tracked lines: a linear-probing table whose capacity is
+     *  zero or a power of two, grown at half load. */
     struct SetState
     {
-        std::unordered_map<uint64_t, LineState> lastAccess;
+        std::vector<LineState> slots;
+        uint32_t lines = 0;
         uint64_t counter = 0;
     };
 
+    /** The slot holding `line_addr`, or the free slot it would take. */
+    static LineState &probe(SetState &state, uint64_t line_addr);
+    static void grow(SetState &state);
     void prune(SetState &state);
 
     uint32_t dMax_;

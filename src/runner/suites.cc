@@ -1704,6 +1704,33 @@ serviceTag(const SuiteOptions &options)
         std::to_string(options.serviceChurn);
 }
 
+/** The service grid as one wide lockstep group (key "<tag>/lockstep"):
+ *  every service policy is a lane over ONE decode of the open-loop
+ *  traffic (runServiceLockstep), one record per policy keyed
+ *  "<tag>/<policy>" in policy order, identical to the serviceJobs. */
+Job
+serviceLockstepJob(const std::string &tag, std::vector<TenantSpec> tenants,
+                   const ServiceConfig &config, uint64_t seed)
+{
+    Job job;
+    job.key = tag + "/lockstep";
+    job.seed = seed;
+    job.wide = true;
+    job.runMany = [tag, tenants = std::move(tenants),
+                   config](const JobContext &ctx) {
+        const std::vector<std::string> &policies = servicePolicies();
+        std::vector<ServiceResult> results = runServiceLockstep(
+            tenants, policies, config, ctx.seed, ctx.threads);
+        std::vector<KeyedOutcome> outcomes(results.size());
+        for (size_t p = 0; p < results.size(); ++p) {
+            outcomes[p].key = tag + "/" + policies[p];
+            outcomes[p].outcome.service = std::move(results[p]);
+        }
+        return outcomes;
+    };
+    return job;
+}
+
 std::vector<Job>
 buildService(const SuiteOptions &options)
 {
@@ -1731,7 +1758,16 @@ buildService(const SuiteOptions &options)
     const std::vector<TenantSpec> tenants =
         buildServiceScenario(params, seed);
 
+    // Like emitCells: one wide lockstep group over a single decode of
+    // the traffic, unless observers or an injected fault ask for
+    // per-policy jobs (their TRACE/FLIGHT artifacts are per job), or a
+    // --filter names policies rather than the group.
     std::vector<Job> jobs;
+    if (!config.telemetry.enabled && config.faultAt == 0 &&
+        (tag + "/lockstep").find(options.filter) != std::string::npos) {
+        jobs.push_back(serviceLockstepJob(tag, tenants, config, seed));
+        return jobs;
+    }
     for (const std::string &policy : servicePolicies())
         jobs.push_back(
             serviceJob(tag + "/" + policy, tenants, policy, config, seed));

@@ -175,11 +175,36 @@ struct ServiceResult
  * Run one scripted tenant population under one shared policy
  * (makeSharedPolicy spec: LRU | UCP | PDP-2 | PDP-3 | ...).  `seed`
  * derives every tenant's stream and clock seeds, so two policies run
- * with the same seed see identical open-loop traffic.
+ * with the same seed see identical open-loop traffic.  This is the
+ * one-lane, one-thread case of runServiceLockstep.
  */
 ServiceResult runService(const std::vector<TenantSpec> &tenants,
                          const std::string &policy_spec,
                          const ServiceConfig &config, uint64_t seed);
+
+/**
+ * Run the same population under every policy in `policy_specs` over ONE
+ * decode of the open-loop traffic, returning one ServiceResult per
+ * spec, in input order, each identical to runService's for that spec.
+ *
+ * The scheduler, the tenant streams and the per-slot L2s live in one
+ * front end; each policy is a lane that owns the LLC, the per-tenant
+ * timing and SLO state, and any observers the config asks for, and
+ * replays the captured request stream (DESIGN.md "Service lockstep").
+ * `threads` is the whole thread budget, the caller included (0 or 1 =
+ * everything on the caller, sim/lane_crew.h).  A lane's exception is
+ * rethrown on the caller.
+ */
+std::vector<ServiceResult>
+runServiceLockstep(const std::vector<TenantSpec> &tenants,
+                   const std::vector<std::string> &policy_specs,
+                   const ServiceConfig &config, uint64_t seed,
+                   unsigned threads = 1);
+
+/** Most requests one front-end chunk carries.  Chunks are cut shorter
+ *  at the warmup/measure edge, at lifecycle events and at SLO sample
+ *  indices, so every edge falls between two chunks. */
+inline constexpr uint64_t kServiceChunkRequests = uint64_t{1} << 14;
 
 } // namespace pdp
 

@@ -1,18 +1,13 @@
 #include "sim/lockstep_sweep.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "cache/hierarchy.h"
 #include "check/check.h"
+#include "sim/lane_crew.h"
 
 namespace pdp
 {
@@ -153,7 +148,7 @@ class LlcStreamFrontEnd
 /** One sweep config's private simulation state: LLC + policy and, from
  *  its first measured chunk on, a timing model.  A lane is only ever
  *  touched by one worker at a time, and chunks reach it in stream
- *  order (LaneCrew's per-chunk join orders chunk k before k + 1). */
+ *  order (sim/lane_crew.h: each round is joined before the next). */
 struct Lane
 {
     std::unique_ptr<Cache> llc;
@@ -205,118 +200,6 @@ walkLane(Lane &lane, const Chunk &chunk, const SimConfig &config)
         timing->onL2Hits(chunk.tail.gapSum, chunk.tail.count);
 }
 
-/**
- * Lane workers that live for one runSingleCoreLockstep call.  Each round
- * replays one chunk on every lane; lanes are claimed one at a time
- * through an atomic index, so a costly lane (EELRU) never holds back a
- * static slice of cheap ones.  start() hands a chunk to the helper
- * threads and returns, so the caller can decode the next chunk while
- * they replay; finish() makes the caller claim lanes too and then waits
- * until every lane has replayed the chunk.
- */
-class LaneCrew
-{
-  public:
-    LaneCrew(std::vector<Lane> &lanes, const SimConfig &config,
-             unsigned helpers)
-        : lanes_(lanes), config_(config)
-    {
-        threads_.reserve(helpers);
-        for (unsigned h = 0; h < helpers; ++h)
-            threads_.emplace_back([this] { helperLoop(); });
-    }
-
-    ~LaneCrew()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
-        }
-        wake_.notify_all();
-        for (std::thread &thread : threads_)
-            thread.join();
-    }
-
-    LaneCrew(const LaneCrew &) = delete;
-    LaneCrew &operator=(const LaneCrew &) = delete;
-
-    bool hasHelpers() const { return !threads_.empty(); }
-
-    void
-    start(const Chunk &chunk)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            chunk_ = &chunk;
-            next_.store(0);
-            running_ = static_cast<unsigned>(threads_.size());
-            ++round_;
-        }
-        wake_.notify_all();
-    }
-
-    /** Rethrows the first exception a lane walk raised this round. */
-    void
-    finish()
-    {
-        claimLanes(*chunk_);
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_.wait(lock, [this] { return running_ == 0; });
-        if (error_)
-            std::rethrow_exception(std::exchange(error_, nullptr));
-    }
-
-  private:
-    void
-    claimLanes(const Chunk &chunk)
-    {
-        for (size_t c = next_.fetch_add(1); c < lanes_.size();
-             c = next_.fetch_add(1)) {
-            try {
-                walkLane(lanes_[c], chunk, config_);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mutex_);
-                if (!error_)
-                    error_ = std::current_exception();
-            }
-        }
-    }
-
-    void
-    helperLoop()
-    {
-        uint64_t seen = 0;
-        for (;;) {
-            const Chunk *chunk = nullptr;
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                wake_.wait(lock, [&] { return stop_ || round_ != seen; });
-                if (stop_)
-                    return;
-                seen = round_;
-                chunk = chunk_;
-            }
-            claimLanes(*chunk);
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (--running_ == 0)
-                done_.notify_one();
-        }
-    }
-
-    std::vector<Lane> &lanes_;
-    const SimConfig &config_;
-    std::mutex mutex_;
-    std::condition_variable wake_, done_;
-    const Chunk *chunk_ = nullptr;
-    uint64_t round_ = 0;
-    /** Helpers that have not yet finished the current round. */
-    unsigned running_ = 0;
-    bool stop_ = false;
-    std::atomic<size_t> next_{0};
-    std::exception_ptr error_;
-    std::vector<std::thread> threads_;
-};
-
 } // namespace
 
 std::vector<SimResult>
@@ -357,20 +240,10 @@ runSingleCoreLockstep(
     // The caller is one lane worker; up to threads - 1 helpers replay
     // while it decodes.  With helpers the front end is double-buffered:
     // chunk k + 1 is decoded while the lanes replay chunk k.
-    std::vector<Chunk> chunks(2);
-    LaneCrew crew(lanes, config,
-                  std::min<unsigned>(std::max(1u, threads) - 1,
-                                     static_cast<unsigned>(lanes.size())));
-    Chunk *current = &chunks[0];
-    Chunk *next = crew.hasHelpers() ? &chunks[1] : current;
-    for (bool more = fillNext(*current); more; std::swap(current, next)) {
-        crew.start(*current);
-        if (crew.hasHelpers())
-            more = fillNext(*next);
-        crew.finish();
-        if (!crew.hasHelpers())
-            more = fillNext(*next);
-    }
+    driveLanes<Chunk>(lanes.size(), threads, fillNext,
+                      [&](size_t c, const Chunk &chunk) {
+                          walkLane(lanes[c], chunk, config);
+                      });
 
     std::vector<SimResult> results;
     results.reserve(lanes.size());

@@ -68,7 +68,7 @@ class PoissonProcess
 
 /** Deterministic per-tenant request stream (Zipf mix over a disjoint
  *  address window). */
-class TenantStreamGenerator : public AccessGenerator
+class TenantStreamGenerator final : public AccessGenerator
 {
   public:
     /**

@@ -486,3 +486,42 @@ TEST(SuiteLockstepTest, ObserversAndCellFiltersGetIndependentJobs)
     cellFilter.filter = "429.mcf/EELRU";
     EXPECT_EQ(wideJobs(suite->buildJobs(cellFilter)), 0);
 }
+
+TEST(SuiteLockstepTest, ServiceGridIsOneWideGroupUnlessObserved)
+{
+    const Suite *suite = findSuite("service");
+    ASSERT_NE(suite, nullptr);
+    SuiteOptions options;
+    options.scale = 0.02;
+    options.serviceTenants = 8;
+    options.serviceChurn = 2;
+    const std::vector<Job> grouped = suite->buildJobs(options);
+    ASSERT_EQ(grouped.size(), 1u);
+    EXPECT_EQ(grouped[0].key, "service/t8c2/lockstep");
+    EXPECT_TRUE(grouped[0].wide);
+
+    // Observers, an injected fault, or a filter naming policies rather
+    // than the group: one one-lane job per policy.
+    SuiteOptions traced = options;
+    traced.trace = true;
+    SuiteOptions telemetry = options;
+    telemetry.telemetry = true;
+    SuiteOptions faulted = options;
+    faulted.serviceFaultAt = 1000;
+    SuiteOptions policyFilter = options;
+    policyFilter.filter = "/LRU";
+    for (const SuiteOptions &o : {traced, telemetry, faulted, policyFilter}) {
+        const std::vector<Job> jobs = suite->buildJobs(o);
+        EXPECT_EQ(jobs.size(), 5u);
+        EXPECT_TRUE(std::none_of(jobs.begin(), jobs.end(),
+                                 [](const Job &job) { return job.wide; }));
+    }
+
+    // Both groupings dump the same records, byte for byte.
+    const std::string a = runDump("service", suite->buildJobs(policyFilter));
+    const std::string b = runDump("service", grouped);
+    EXPECT_EQ(a, b);
+    const auto doc = Json::parse(a);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(doc->find("jobs")->size(), 5u);
+}

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "cache/cache.h"
 #include "policies/basic.h"
 #include "core/hit_rate_model.h"
@@ -381,6 +383,131 @@ TEST(RdProfiler, OverflowBucketBeyondDmax)
         profiler.observe(0, 100 + i);
     profiler.observe(0, 42); // RD 11 > 4
     EXPECT_EQ(profiler.rdd().overflow(), 1u);
+}
+
+namespace
+{
+
+/** Frozen copy of the node-map RdProfiler that the flat per-set tables
+ *  replaced: the differential oracle for rdd, pairRdd, overflow and
+ *  accesses, prune path included. */
+class MapRdProfiler
+{
+  public:
+    MapRdProfiler(uint32_t num_sets, uint32_t d_max)
+        : dMax_(d_max), sets_(num_sets), histogram_(d_max),
+          pairHistogram_(d_max)
+    {}
+
+    void
+    observe(uint32_t set, uint64_t line_addr)
+    {
+        SetState &state = sets_[set];
+        ++state.counter;
+        ++accesses_;
+        auto it = state.lastAccess.find(line_addr);
+        if (it != state.lastAccess.end()) {
+            const uint64_t rd = state.counter - it->second.lastAccess;
+            if (rd >= 1 && rd <= dMax_) {
+                histogram_.add(static_cast<size_t>(rd - 1));
+                const uint32_t prev = it->second.prevDist;
+                if (prev >= 1 && prev <= dMax_) {
+                    const uint64_t mx = rd > prev ? rd : prev;
+                    pairHistogram_.add(static_cast<size_t>(mx - 1));
+                }
+                it->second.prevDist = static_cast<uint32_t>(rd);
+            } else {
+                histogram_.add(dMax_);
+                it->second.prevDist = dMax_ + 1;
+            }
+            it->second.lastAccess = state.counter;
+        } else {
+            state.lastAccess.emplace(line_addr, LineState{state.counter, 0});
+            if (state.lastAccess.size() < 4ull * dMax_)
+                return;
+            // pdplint: allow(unordered-iter) each entry is kept or
+            // dropped on its own predicate; nothing is emitted.
+            for (auto e = state.lastAccess.begin();
+                 e != state.lastAccess.end();) {
+                if (state.counter - e->second.lastAccess > dMax_)
+                    e = state.lastAccess.erase(e);
+                else
+                    ++e;
+            }
+        }
+    }
+
+    void
+    clearCounts()
+    {
+        histogram_.reset();
+        pairHistogram_.reset();
+        accesses_ = 0;
+    }
+
+    uint32_t dMax_;
+    struct LineState
+    {
+        uint64_t lastAccess = 0;
+        uint32_t prevDist = 0;
+    };
+    struct SetState
+    {
+        std::unordered_map<uint64_t, LineState> lastAccess;
+        uint64_t counter = 0;
+    };
+    std::vector<SetState> sets_;
+    Histogram histogram_;
+    Histogram pairHistogram_;
+    uint64_t accesses_ = 0;
+};
+
+} // namespace
+
+TEST(RdProfiler, FlatTablesMatchTheNodeMapProfiler)
+{
+    Rng rng(0x5eed);
+    unsigned mismatches = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        const uint32_t sets = 1u << rng.below(4);
+        const uint32_t dMax = 1 + static_cast<uint32_t>(rng.below(
+            trial % 2 ? 8 : 300)); // tiny reaches make prune fire often
+        const uint64_t lines = 1 + rng.below(trial % 3 ? 64 : 5000);
+        RdProfiler flat(sets, dMax);
+        MapRdProfiler frozen(sets, dMax);
+        const int accesses = 2000 + static_cast<int>(rng.below(8000));
+        for (int i = 0; i < accesses; ++i) {
+            // A hot window, a streaming tail, and the extreme addresses
+            // (UINT64_MAX is a valid key in the flat table).
+            uint64_t line;
+            const uint64_t kind = rng.below(16);
+            if (kind == 0)
+                line = ~uint64_t{0} - rng.below(2);
+            else if (kind < 4)
+                line = 1'000'000 + static_cast<uint64_t>(i);
+            else
+                line = rng.below(lines) * 0x10001;
+            const uint32_t set = static_cast<uint32_t>(line & (sets - 1));
+            flat.observe(set, line);
+            frozen.observe(set, line);
+            if (i == accesses / 3) {
+                flat.clearCounts();
+                frozen.clearCounts();
+            }
+        }
+        bool same = flat.accesses() == frozen.accesses_ &&
+            flat.rdd().overflow() == frozen.histogram_.overflow() &&
+            flat.pairRdd().overflow() == frozen.pairHistogram_.overflow();
+        for (uint32_t d = 0; d < dMax; ++d)
+            same = same && flat.rdd().at(d) == frozen.histogram_.at(d) &&
+                flat.pairRdd().at(d) == frozen.pairHistogram_.at(d);
+        if (!same) {
+            ++mismatches;
+            ADD_FAILURE() << "trial " << trial << ": sets " << sets
+                          << " d_max " << dMax << " lines " << lines;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(RdProfiler, PeakDetection)

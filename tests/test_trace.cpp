@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "cache/cache.h"
@@ -16,6 +17,7 @@
 #include "trace/patterns.h"
 #include "trace/spec_suite.h"
 #include "trace/workload.h"
+#include "trace/zipf.h"
 #include "util/rng.h"
 
 using namespace pdp;
@@ -233,4 +235,87 @@ TEST(Workloads, InstantiateStampsThreadIds)
     ASSERT_EQ(gens.size(), 4u);
     for (uint8_t t = 0; t < 4; ++t)
         EXPECT_EQ(gens[t]->next().threadId, t);
+}
+
+// ---------------------------------------------------------------------
+// ZipfSampler: the guide-table search must return exactly what a
+// full-range lower_bound over the same CDF returns.
+
+namespace
+{
+
+/** Frozen copy of the pre-guide-table sampler: the same CDF, searched
+ *  over its whole range. */
+class FullRangeZipf
+{
+  public:
+    FullRangeZipf(uint64_t n, double alpha) : cdf_(n)
+    {
+        double sum = 0.0;
+        for (uint64_t r = 0; r < n; ++r) {
+            sum += __builtin_pow(static_cast<double>(r + 1), -alpha);
+            cdf_[r] = sum;
+        }
+        const double inv = 1.0 / sum;
+        for (double &c : cdf_)
+            c *= inv;
+        cdf_.back() = 1.0;
+    }
+
+    uint64_t
+    rankOf(double u) const
+    {
+        const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+        return it == cdf_.end() ? cdf_.size() - 1
+                                : static_cast<uint64_t>(it - cdf_.begin());
+    }
+
+  private:
+    std::vector<double> cdf_;
+};
+
+} // namespace
+
+TEST(ZipfSampler, GuideTableMatchesFullRangeSearch)
+{
+    struct Shape
+    {
+        uint64_t n;
+        double alpha;
+    };
+    const Shape shapes[] = {{1, 0.9},      {1, 0.0},     {2, 0.9},
+                            {3, 0.0},      {1000, 0.0},  {1000, 0.9},
+                            {4097, 1.2},   {16384, 0.6}, {1u << 17, 0.9},
+                            {1u << 17, 0.0}, {100'003, 1.5}};
+    for (const Shape &shape : shapes) {
+        SCOPED_TRACE("n " + std::to_string(shape.n) + " alpha " +
+                     std::to_string(shape.alpha));
+        const ZipfSampler sampler(shape.n, shape.alpha);
+        const FullRangeZipf frozen(shape.n, shape.alpha);
+        uint64_t mismatches = 0;
+        const auto check = [&](double u) {
+            if (sampler.rankOf(u) != frozen.rankOf(u))
+                ++mismatches;
+        };
+        // Every bucket edge of any guide table with at most n buckets
+        // (the sampler keeps it below n), and the draws either side.
+        uint64_t edges = 1;
+        while (edges < shape.n)
+            edges *= 2;
+        for (uint64_t j = 0; j < edges; ++j) {
+            const double edge =
+                static_cast<double>(j) / static_cast<double>(edges);
+            check(edge);
+            check(edge + 0x1.0p-53);
+            if (j > 0)
+                check(edge - 0x1.0p-53);
+        }
+        check(1.0 - 0x1.0p-53); // the largest draw Rng::uniform makes
+        // Random draws through the public sampling path.
+        Rng a(shape.n * 31 + 7), b(shape.n * 31 + 7);
+        for (int i = 0; i < 200'000; ++i)
+            if (sampler.sample(a) != frozen.rankOf(b.uniform()))
+                ++mismatches;
+        EXPECT_EQ(mismatches, 0u);
+    }
 }
