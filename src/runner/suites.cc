@@ -95,8 +95,6 @@ singleCoreJob(std::string key, std::string benchmark,
                config](const JobContext &ctx) {
         auto gen = SpecSuite::make(benchmark, ctx.seed);
         Hierarchy hierarchy(config.hierarchy, makePol());
-        if (config.withPrefetcher)
-            hierarchy.attachPrefetcher(std::make_unique<StreamPrefetcher>());
         JobOutcome outcome;
         outcome.single = runSingleCore(*gen, hierarchy, config);
         return outcome;
@@ -212,27 +210,32 @@ using PolicyCell = std::pair<
     std::string, std::function<std::unique_ptr<ReplacementPolicy>()>>;
 
 /** Emit one benchmark's sweep cells as one wide lockstep group job (key
- *  "<prefix>lockstep") over a single trace decode.  Telemetry and event
- *  traces observe global order, so they get independent
- *  singleCoreJobs; so does a --filter that names cells rather than the
- *  group, which then runs just the cells it names.  Record keys and
- *  seeds are identical either way, so the deterministic dumps match
- *  byte for byte. */
+ *  "<prefix>lockstep"), observers in its lanes.  A --filter naming cells
+ *  keeps just those, in a group whose key carries the filter.  Hardware
+ *  counters count only the thread that opened them, so --perf-counters
+ *  gives each cell a singleCoreJob (the one-lane engine).  Record keys
+ *  and seeds, and so the deterministic dumps, match every way. */
 void
 emitCells(std::vector<Job> *jobs, const SuiteOptions &options,
           const std::string &prefix, const std::string &bench,
           std::vector<PolicyCell> cells, const SimConfig &config)
 {
-    const std::string group = prefix + "lockstep";
-    if (!options.telemetry && !options.trace &&
-        group.find(options.filter) != std::string::npos) {
-        jobs->push_back(
-            lockstepSweepJob(group, bench, std::move(cells), config));
+    if (options.perfCounters) {
+        for (PolicyCell &cell : cells)
+            jobs->push_back(singleCoreJob(std::move(cell.first), bench,
+                                          std::move(cell.second), config));
         return;
     }
-    for (PolicyCell &cell : cells)
-        jobs->push_back(singleCoreJob(std::move(cell.first), bench,
-                                      std::move(cell.second), config));
+    std::string group = prefix + "lockstep";
+    if (group.find(options.filter) == std::string::npos) {
+        std::erase_if(cells, [&](const PolicyCell &cell) {
+            return cell.first.find(options.filter) == std::string::npos;
+        });
+        group += "[" + options.filter + "]";
+    }
+    if (!cells.empty())
+        jobs->push_back(
+            lockstepSweepJob(group, bench, std::move(cells), config));
 }
 
 /** Miss-minimizing point of an already-run static-PD grid (strictly
@@ -1388,6 +1391,28 @@ hotpathTelemetryIdleJob(double scale)
     return job;
 }
 
+/** The independent side of the sweep and explore rows: one cell as a
+ *  per-access Hierarchy::access loop, the baseline a sweep pays without
+ *  the lane engine. */
+SimResult
+perAccessRun(const std::string &bench, uint64_t seed,
+             std::unique_ptr<ReplacementPolicy> policy,
+             const SimConfig &config)
+{
+    auto gen = SpecSuite::make(bench, seed);
+    Hierarchy hierarchy(config.hierarchy, std::move(policy));
+    for (uint64_t i = 0; i < config.warmup; ++i)
+        hierarchy.access(gen->next());
+    hierarchy.resetStats();
+    TimingModel timing(config.timing);
+    for (uint64_t i = 0; i < config.accesses; ++i) {
+        const Access access = gen->next();
+        timing.onAccess(access.instrGap, hierarchy.access(access).level);
+    }
+    return makeSimResult(gen->name(), hierarchy.llc().policy().name(),
+                         hierarchy.llc().stats(), timing);
+}
+
 /**
  * The tentpole ratio the CI gate keys on: one benchmark's full 19-point
  * SPDP-B static-PD grid, run as 19 independent sequential simulations vs
@@ -1423,13 +1448,9 @@ hotpathSweepJob(double scale)
             [&] {
                 return secondsOf([&] {
                     independent.clear();
-                    for (uint32_t pd : grid) {
-                        auto gen = SpecSuite::make(bench, ctx.seed);
-                        Hierarchy hierarchy(config.hierarchy,
-                                            makeSpdpB(pd));
-                        independent.push_back(
-                            runSingleCore(*gen, hierarchy, config));
-                    }
+                    for (uint32_t pd : grid)
+                        independent.push_back(perAccessRun(
+                            bench, ctx.seed, makeSpdpB(pd), config));
                 });
             },
             [&] {
@@ -1511,14 +1532,11 @@ hotpathExploreJob(double scale)
                 return secondsOf([&] {
                     exhaustive.clear();
                     for (bool byp : {false, true})
-                        for (uint32_t pd : grid) {
-                            auto gen = SpecSuite::make(bench, ctx.seed);
-                            Hierarchy hierarchy(config.hierarchy,
-                                                byp ? makeSpdpB(pd)
-                                                    : makeSpdpNb(pd));
-                            exhaustive.push_back(
-                                runSingleCore(*gen, hierarchy, config));
-                        }
+                        for (uint32_t pd : grid)
+                            exhaustive.push_back(perAccessRun(
+                                bench, ctx.seed,
+                                byp ? makeSpdpB(pd) : makeSpdpNb(pd),
+                                config));
                 });
             },
             // Pruned side: fingerprint the stream once, rank the whole

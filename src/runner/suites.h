@@ -146,7 +146,8 @@ int runSuite(const Suite &suite, const SuiteOptions &options,
 /**
  * A single-core simulation job: constructs generator (seeded with
  * seedFor(benchmark) so every policy of one benchmark sees the same
- * stream), policy and hierarchy inside the job, per the ownership rule.
+ * stream), policy and hierarchy inside the job, per the ownership rule,
+ * and runs runSingleCore — the one-lane engine on the worker's thread.
  */
 Job singleCoreJob(std::string key, std::string benchmark,
                   std::string policySpec, const SimConfig &config);
@@ -174,9 +175,9 @@ Job serviceJob(std::string key, std::vector<TenantSpec> tenants,
  * One schedulable lockstep sweep: every (key, policy factory) cell of
  * `cells` simulated over ONE decode of `benchmark`
  * (sim/lockstep_sweep.h), producing one keyed record per cell in cell
- * order — byte-identical to the equivalent independent singleCoreJobs.
- * The job is wide (Job::wide): it runs alone and fans its cells out over
- * JobContext::threads.
+ * order — byte-identical to the equivalent singleCoreJobs, telemetry
+ * and audit results included.  The job is wide (Job::wide): it runs
+ * alone and fans its cells out over JobContext::threads.
  */
 Job lockstepSweepJob(
     std::string key, std::string benchmark,

@@ -40,29 +40,6 @@ struct TenantEvent
     bool isJoin = false;
 };
 
-/** One scheduler request, as every lane replays it. */
-struct ServiceRequest
-{
-    uint64_t lineAddr = 0;
-    uint64_t pc = 0;
-    uint32_t gap = 0;
-    uint8_t slot = 0;
-    bool isWrite = false;
-    /** Served by the slot's private L2: no LLC op. */
-    bool l2Hit = false;
-    /** The L2 fill evicted a dirty victim, which writes back into the
-     *  LLC right after the demand op: the chunk's next Writeback. */
-    bool writeback = false;
-};
-static_assert(sizeof(ServiceRequest) == 24,
-              "ServiceRequest is the chunk buffers' bulk");
-
-struct Writeback
-{
-    uint64_t lineAddr = 0;
-    uint8_t threadId = 0;
-};
-
 /**
  * A run of requests with no edge inside.  Lanes apply, in order: the
  * warmup-to-measure transition, the lifecycle events, the requests,
@@ -72,8 +49,10 @@ struct ServiceChunk
 {
     bool beginMeasure = false;
     std::vector<TenantEvent> events;
-    std::vector<ServiceRequest> requests;
-    std::vector<Writeback> writebacks;
+    /** Per request its opening op — the demand op, or an L2Hit marker
+     *  when the slot's L2 served it — then any dirty L2 victim's
+     *  writeback. */
+    std::vector<LlcOp> ops;
     /** The last request completes an SLO sampling interval. */
     bool sampleSlo = false;
 };
@@ -144,15 +123,10 @@ class ServiceFrontEnd
         : tenants_(tenants), seed_(seed), slotOwner_(config.slots, -1),
           phases_(tenants.size(), Phase::Pending), gens_(tenants.size()),
           arrivals_(tenants.size(), std::numeric_limits<double>::infinity()),
+          privateLevel_(config.hierarchy.l2, config.slots),
           warmupLeft_(config.warmup), accesses_(config.accesses),
           sloInterval_(sloIntervalOf(config))
     {
-        for (unsigned t = 0; t < config.slots; ++t) {
-            CacheConfig l2cfg = config.hierarchy.l2;
-            l2cfg.label = "L2." + std::to_string(t);
-            l2s_.push_back(std::make_unique<Cache>(
-                l2cfg, std::make_unique<LruPolicy>()));
-        }
         // Scripted lifecycle, sorted by (access index, leaves-first,
         // spec).
         for (unsigned i = 0; i < tenants.size(); ++i) {
@@ -187,9 +161,8 @@ class ServiceFrontEnd
     {
         chunk.beginMeasure = false;
         chunk.events.clear();
-        chunk.requests.clear();
-        chunk.writebacks.clear();
-        chunk.requests.reserve(kServiceChunkRequests);
+        chunk.ops.clear();
+        chunk.ops.reserve(2 * kServiceChunkRequests);
         chunk.sampleSlo = false;
 
         if (!started_) {
@@ -225,8 +198,9 @@ class ServiceFrontEnd
                               sloInterval_ - measured_ % sloInterval_);
         if (nextEvent_ < lifecycle_.size())
             n = std::min(n, lifecycle_[nextEvent_].at - measured_);
-        serve(std::min(n, kServiceChunkRequests), chunk);
-        measured_ += chunk.requests.size();
+        n = std::min(n, kServiceChunkRequests);
+        serve(n, chunk);
+        measured_ += n;
         chunk.sampleSlo = measured_ % sloInterval_ == 0;
         return true;
     }
@@ -302,7 +276,6 @@ class ServiceFrontEnd
         PDP_CHECK(n == 0 || live_ > 0, "open-loop step with no live tenant");
         const double *arrivals = arrivals_.data();
         const size_t specs = arrivals_.size();
-        AccessContext ctx;
         for (uint64_t i = 0; i < n; ++i) {
             size_t pick = 0;
             double earliest = arrivals[0];
@@ -316,27 +289,12 @@ class ServiceFrontEnd
             clock.advance();
             arrivals_[pick] = clock.nextArrival();
 
-            Cache &l2 = *l2s_[access.threadId];
-            ctx.lineAddr = access.lineAddr;
-            ctx.pc = access.pc;
-            ctx.threadId = access.threadId;
-            ctx.isWrite = access.isWrite;
-            ctx.set = l2.setIndex(ctx.lineAddr);
-            const AccessOutcome l2_out = l2.access(ctx);
-
-            ServiceRequest &req = chunk.requests.emplace_back();
-            req.lineAddr = access.lineAddr;
-            req.pc = access.pc;
-            req.gap = access.instrGap;
-            req.slot = access.threadId;
-            req.isWrite = access.isWrite;
-            req.l2Hit = l2_out.hit;
-            // Dirty L2 victim writes back into the LLC, in order.
-            req.writeback = !l2_out.hit && l2_out.evictedValid &&
-                l2_out.evictedDirty;
-            if (req.writeback)
-                chunk.writebacks.push_back(
-                    {l2_out.evictedAddr, l2_out.evictedThread});
+            if (!privateLevel_.walk(access, [&](const LlcOp &op) {
+                    chunk.ops.push_back(op);
+                }))
+                chunk.ops.push_back({access.lineAddr, access.pc,
+                                     access.instrGap, access.threadId,
+                                     access.isWrite, LlcOp::L2Hit});
         }
     }
 
@@ -353,7 +311,7 @@ class ServiceFrontEnd
     std::vector<PoissonProcess> clocks_;
     /** Pending arrival per spec; +inf while the tenant is not live. */
     std::vector<double> arrivals_;
-    std::vector<std::unique_ptr<Cache>> l2s_;
+    PrivateLevel privateLevel_;
     uint64_t warmupLeft_;
     uint64_t accesses_;
     uint64_t sloInterval_;
@@ -497,10 +455,11 @@ class ServiceLane
             else
                 leave(event);
         }
-        const Writeback *writeback = chunk.writebacks.data();
-        AccessContext ctx;
-        for (const ServiceRequest &req : chunk.requests) {
-            const unsigned spec = static_cast<unsigned>(slotOwner_[req.slot]);
+        const std::vector<LlcOp> &ops = chunk.ops;
+        for (size_t i = 0; i < ops.size(); ++i) {
+            const LlcOp &req = ops[i]; // opens its request
+            const unsigned spec =
+                static_cast<unsigned>(slotOwner_[req.threadId]);
             LaneTenant &ts = state_[spec];
             // Span open/close brackets the access so a fault inside it
             // (an injected one below, or a real PDP_CHECK in the LLC)
@@ -515,25 +474,13 @@ class ServiceLane
                       config_.faultAt, " (ServiceConfig::faultAt)");
             HitLevel level = HitLevel::L2;
             bool bypassed = false;
-            if (!req.l2Hit) {
-                ctx.lineAddr = req.lineAddr;
-                ctx.pc = req.pc;
-                ctx.threadId = req.slot;
-                ctx.isWrite = req.isWrite;
-                ctx.set = llc_->setIndex(ctx.lineAddr);
-                const AccessOutcome out = llc_->access(ctx);
+            if (req.kind == LlcOp::Demand) {
+                const AccessOutcome out =
+                    llc_->access(req.context(llc_->setIndex(req.lineAddr)));
                 level = out.hit ? HitLevel::Llc : HitLevel::Memory;
                 bypassed = out.bypassed;
-                if (req.writeback) {
-                    AccessContext wb;
-                    wb.lineAddr = writeback->lineAddr;
-                    wb.set = llc_->setIndex(wb.lineAddr);
-                    wb.threadId = writeback->threadId;
-                    wb.isWrite = true;
-                    wb.isWriteback = true;
-                    llc_->access(wb);
-                    ++writeback;
-                }
+                if (i + 1 < ops.size() && !ops[i + 1].opensAccess())
+                    applyNonDemand(*llc_, ops[++i]);
             }
             if (sampler_ && measuring_)
                 sampler_->onAccess();

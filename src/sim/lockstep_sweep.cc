@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "cache/hierarchy.h"
 #include "check/check.h"
+#include "check/invariant_auditor.h"
 #include "sim/lane_crew.h"
 
 namespace pdp
@@ -15,20 +16,6 @@ namespace pdp
 namespace
 {
 
-/** One captured LLC access (demand or L2-victim writeback).  The set
- *  index is not stored: each lane derives it from the line address. */
-struct LlcOp
-{
-    uint64_t lineAddr = 0;
-    uint64_t pc = 0;
-    /** Instruction gap of the demand access this op answers, replayed
-     *  through TimingModel::onAccess; 0 for writebacks (which have no
-     *  timing-level slot). */
-    uint32_t gap = 0;
-    uint8_t threadId = 0;
-    bool isWrite = false;
-    bool isWriteback = false;
-};
 static_assert(sizeof(LlcOp) == 24, "LlcOp is the chunk buffers' bulk");
 
 /** Accesses captured per chunk.  Big enough to amortize the per-chunk
@@ -36,195 +23,175 @@ static_assert(sizeof(LlcOp) == 24, "LlcOp is the chunk buffers' bulk");
  *  resident in the host's caches while every lane walks them. */
 constexpr size_t kStreamChunk = size_t{1} << 15;
 
-/** One run of consecutive L2 hits preceding a demand op: summed
- *  instruction gaps plus the hit count.  L2 hits are lane-invariant
- *  (every sweep config sees the same L2), so per-lane timing replay
- *  folds each run into one TimingModel::onL2Hits call instead of
- *  walking every access — O(LLC ops) per lane, not O(accesses). */
+/** A run of consecutive op-less accesses (L2 hits) before an opening
+ *  op: summed instruction gaps plus the count.  They are lane-invariant,
+ *  so a lane folds each run into one TimingModel::onL2Hits call (and
+ *  one sampler tick): O(LLC ops) per lane, not O(accesses). */
 struct TimingSegment
 {
     uint64_t gapSum = 0;
     uint32_t count = 0;
 };
 
-/** One chunk of the LLC op stream, as every lane replays it. */
+/** One chunk of the LLC op stream; it ends between accesses. */
 struct Chunk
 {
     std::vector<LlcOp> ops;
-    /** One TimingSegment per demand op, in op order. */
+    /** One TimingSegment per opening op, in op order. */
     std::vector<TimingSegment> segments;
-    /** L2 hits after the chunk's last demand op. */
+    /** Op-less accesses after the chunk's last opening op. */
     TimingSegment tail;
     /** Measured phase (false: warmup, no timing). */
     bool measured = false;
 };
 
-/**
- * The sequential front end: generator + per-thread L2s, emitting chunks
- * of LLC ops.  With no prefetcher attached the LLC's input stream is
- * fully determined by the generator and the L2 walk — the L2 is always
- * plain LRU, so nothing the LLC decides ever feeds back into which ops
- * reach it.  One front end therefore serves every lane: it decodes the
- * trace and fills the L2 once, and emits the LLC ops (demand accesses
- * plus dirty-L2-victim writebacks, in hierarchy order) for the lanes to
- * replay.
- */
-class LlcStreamFrontEnd
+/** One LLC's simulation state: the cache, from its first measured
+ *  chunk on a timing model, and the observers the config asks for.  A
+ *  lane is touched by one worker at a time, and chunks reach it in
+ *  stream order (sim/lane_crew.h). */
+class Lane
 {
   public:
-    explicit LlcStreamFrontEnd(const HierarchyConfig &config)
+    Lane(Cache &llc, const SimConfig &config) : llc_(llc), config_(config)
     {
-        for (unsigned t = 0; t < config.numThreads; ++t) {
-            CacheConfig l2cfg = config.l2;
-            l2cfg.label = "L2." + std::to_string(t);
-            l2s_.push_back(std::make_unique<Cache>(
-                l2cfg, std::make_unique<LruPolicy>()));
+        // The auditor only watches the measured phase, so the warmup
+        // runs at full speed.
+        if (config.auditEvery > 0) {
+            InvariantAuditor::Options opts;
+            opts.cadence = config.auditEvery;
+            opts.failFast = config.auditFailFast;
+            auditor_ = std::make_unique<InvariantAuditor>(opts);
+            auditor_->watchCache(llc);
         }
+        if (config.telemetry.enabled)
+            sampler_ = std::make_unique<telemetry::EpochSampler>(
+                config.telemetry, llc, config.accesses,
+                config.hierarchy.numThreads);
+        trace_ = sampler_ ? sampler_->trace() : nullptr;
+        phase_.emplace(trace_, "warmup");
     }
 
-    /** Decode and L2-filter the next min(budget, kStreamChunk) accesses
-     *  into `chunk`; returns how many were consumed. */
-    size_t
-    fill(AccessGenerator &gen, uint64_t budget, Chunk &chunk)
+    ~Lane()
     {
-        const size_t n = static_cast<size_t>(
-            std::min<uint64_t>(budget, kStreamChunk));
-        // Worst case two ops per access (demand + dirty L2 victim).
-        chunk.ops.reserve(2 * kStreamChunk);
-        chunk.segments.reserve(kStreamChunk);
-        chunk.ops.clear();
-        chunk.segments.clear();
-        TimingSegment run;
-        AccessContext ctx;
-        for (size_t i = 0; i < n; ++i) {
-            const Access access = gen.next();
+        if (auditor_)
+            llc_.setAuditor(nullptr);
+    }
 
-            Cache &l2 = *l2s_[access.threadId < l2s_.size()
-                                  ? access.threadId
-                                  : 0];
-            ctx.lineAddr = access.lineAddr;
-            ctx.pc = access.pc;
-            ctx.threadId = access.threadId;
-            ctx.isWrite = access.isWrite;
-            ctx.isWriteback = false;
-            ctx.set = l2.setIndex(ctx.lineAddr);
-            const AccessOutcome l2_out = l2.access(ctx);
-            if (l2_out.hit) {
-                run.gapSum += access.instrGap;
-                ++run.count;
-                continue;
-            }
+    Lane(const Lane &) = delete;
+    Lane &operator=(const Lane &) = delete;
 
-            LlcOp op;
-            op.lineAddr = access.lineAddr;
-            op.pc = access.pc;
-            op.gap = access.instrGap;
-            op.threadId = access.threadId;
-            op.isWrite = access.isWrite;
-            chunk.ops.push_back(op);
-            // The op's own gap is replayed through onAccess; the run
-            // of L2 hits before it is this op's timing segment.
-            chunk.segments.push_back(run);
-            run = TimingSegment{};
+    void
+    walk(const Chunk &chunk)
+    {
+        if (chunk.measured && !timing_)
+            beginMeasurement();
+        // The sampler tick lives in its own instantiation, so the
+        // unobserved walk carries no per-op observer branch.
+        if (sampler_ && chunk.measured)
+            replay<true>(chunk);
+        else
+            replay<false>(chunk);
+    }
 
-            // Dirty L2 victim writes back into the LLC, in order.
-            if (l2_out.evictedValid && l2_out.evictedDirty) {
-                LlcOp wb;
-                wb.lineAddr = l2_out.evictedAddr;
-                wb.threadId = l2_out.evictedThread;
-                wb.isWrite = true;
-                wb.isWriteback = true;
-                chunk.ops.push_back(wb);
-            }
+    SimResult
+    finish(const std::string &benchmark)
+    {
+        if (!timing_) // no measured accesses at all
+            beginMeasurement();
+        phase_.reset();
+        SimResult result = makeSimResult(benchmark, llc_.policy().name(),
+                                         llc_.stats(), *timing_);
+        if (auditor_) {
+            llc_.setAuditor(nullptr);
+            auditor_->auditNow();
+            result.auditsRun = auditor_->auditsRun();
+            result.auditViolations = auditor_->totalViolations();
         }
-        chunk.tail = run;
-        return n;
+        if (sampler_) {
+            sampler_->finish();
+            result.telemetry = std::make_shared<telemetry::RunTelemetry>(
+                sampler_->take());
+        }
+        return result;
     }
 
   private:
-    std::vector<std::unique_ptr<Cache>> l2s_;
-};
-
-/** One sweep config's private simulation state: LLC + policy and, from
- *  its first measured chunk on, a timing model.  A lane is only ever
- *  touched by one worker at a time, and chunks reach it in stream
- *  order (sim/lane_crew.h: each round is joined before the next). */
-struct Lane
-{
-    std::unique_ptr<Cache> llc;
-    std::unique_ptr<TimingModel> timing;
-};
-
-/** Enter the measured phase: discard warmup stats, start timing. */
-void
-beginMeasurement(Lane &lane, const SimConfig &config)
-{
-    lane.llc->resetStats();
-    lane.timing = std::make_unique<TimingModel>(config.timing);
-}
-
-/** Walk one chunk through one lane in a single pass: replay each LLC op
- *  and, in the measured phase, time each demand op as it resolves.
- *  Lanes only diverge at demand-op slots — the L2-hit runs between them
- *  are lane-invariant, so each run is folded into one O(1) onL2Hits
- *  call via the front end's precomputed segments instead of walking
- *  every access per lane.  Timing never touches the LLC, so interleaving
- *  it with the replay gives the same sums as a separate pass. */
-void
-walkLane(Lane &lane, const Chunk &chunk, const SimConfig &config)
-{
-    if (chunk.measured && !lane.timing)
-        beginMeasurement(lane, config);
-    Cache &cache = *lane.llc;
-    TimingModel *timing = lane.timing.get();
-    const TimingSegment *segment = chunk.segments.data();
-    AccessContext ctx;
-    for (const LlcOp &op : chunk.ops) {
-        ctx.lineAddr = op.lineAddr;
-        ctx.pc = op.pc;
-        ctx.set = cache.setIndex(op.lineAddr);
-        ctx.threadId = op.threadId;
-        ctx.isWrite = op.isWrite;
-        ctx.isWriteback = op.isWriteback;
-        const AccessOutcome out = cache.access(ctx);
-        if (op.isWriteback)
-            continue;
-        const TimingSegment &run = *segment++;
-        if (!timing)
-            continue;
-        timing->onL2Hits(run.gapSum, run.count);
-        timing->onAccess(op.gap,
-                         out.hit ? HitLevel::Llc : HitLevel::Memory);
+    /** Enter the measured phase: discard warmup stats, start timing. */
+    void
+    beginMeasurement()
+    {
+        phase_.reset();
+        llc_.resetStats();
+        if (auditor_)
+            llc_.setAuditor(auditor_.get());
+        if (sampler_)
+            sampler_->beginMeasurement();
+        timing_.emplace(config_.timing);
+        phase_.emplace(trace_, "measure");
     }
-    if (timing)
-        timing->onL2Hits(chunk.tail.gapSum, chunk.tail.count);
-}
+
+    /** Walk one chunk in a single pass: replay each op and, measured,
+     *  time each opened access, folding in the op-less runs.  Sampled,
+     *  an access is ticked right before the next one opens (or at the
+     *  chunk's end): after its last op, as a per-access loop ticks. */
+    template <bool Sampled>
+    void
+    replay(const Chunk &chunk)
+    {
+        Cache &cache = llc_;
+        TimingModel *timing = timing_ ? &*timing_ : nullptr;
+        const TimingSegment *segment = chunk.segments.data();
+        uint64_t open = 0; // the opened access not yet ticked
+        for (const LlcOp &op : chunk.ops) {
+            if (!op.opensAccess()) {
+                applyNonDemand(cache, op);
+                continue;
+            }
+            const TimingSegment &run = *segment++;
+            if constexpr (Sampled) {
+                sampler_->onAccesses(open + run.count);
+                open = 1;
+            }
+            HitLevel level = HitLevel::L2;
+            if (op.kind == LlcOp::Demand) {
+                const AccessOutcome out =
+                    cache.access(op.context(cache.setIndex(op.lineAddr)));
+                level = out.hit ? HitLevel::Llc : HitLevel::Memory;
+            }
+            if (!timing)
+                continue;
+            timing->onL2Hits(run.gapSum, run.count);
+            timing->onAccess(op.gap, level);
+        }
+        if constexpr (Sampled)
+            sampler_->onAccesses(open + chunk.tail.count);
+        if (timing)
+            timing->onL2Hits(chunk.tail.gapSum, chunk.tail.count);
+    }
+
+    Cache &llc_;
+    const SimConfig &config_;
+    std::optional<TimingModel> timing_;
+    std::unique_ptr<InvariantAuditor> auditor_;
+    std::unique_ptr<telemetry::EpochSampler> sampler_;
+    telemetry::EventTrace *trace_ = nullptr;
+    /** The open "warmup" or "measure" phase timer. */
+    std::optional<telemetry::ScopedPhaseTimer> phase_;
+};
 
 } // namespace
 
 std::vector<SimResult>
-runSingleCoreLockstep(
-    AccessGenerator &gen, const SimConfig &config,
-    const std::vector<
-        std::function<std::unique_ptr<ReplacementPolicy>()>> &makePolicies,
-    unsigned threads)
+runSingleCoreLockstep(AccessGenerator &gen, PrivateLevel &front,
+                      const std::vector<Cache *> &llcs,
+                      const SimConfig &config, unsigned threads)
 {
-    PDP_CHECK(!config.telemetry.enabled && config.auditEvery == 0 &&
-                  !config.withPrefetcher,
-              "lockstep sweeps observe no global order: run telemetry/"
-              "audit/prefetcher configs on the sequential driver");
-    if (makePolicies.empty())
+    if (llcs.empty())
         return {};
-
-    LlcStreamFrontEnd frontEnd(config.hierarchy);
-
-    std::vector<Lane> lanes(makePolicies.size());
-    for (size_t c = 0; c < lanes.size(); ++c) {
-        auto policy = makePolicies[c]();
-        PDP_CHECK(policy != nullptr, "policy factory returned null");
-        lanes[c].llc = std::make_unique<Cache>(config.hierarchy.llc,
-                                               std::move(policy));
-    }
+    std::vector<std::unique_ptr<Lane>> lanes;
+    lanes.reserve(llcs.size());
+    for (Cache *llc : llcs)
+        lanes.push_back(std::make_unique<Lane>(*llc, config));
 
     // Warmup chunks first, then measured ones; no chunk spans the two.
     uint64_t warmup = config.warmup, measured = config.accesses;
@@ -233,7 +200,29 @@ runSingleCoreLockstep(
         if (budget == 0)
             return false;
         chunk.measured = &budget == &measured;
-        budget -= frontEnd.fill(gen, budget, chunk);
+        const uint64_t n = std::min<uint64_t>(budget, kStreamChunk);
+        budget -= n;
+        // Two ops per access (demand + dirty L2 victim) w/o prefetches.
+        chunk.ops.reserve(2 * kStreamChunk);
+        chunk.segments.reserve(kStreamChunk);
+        chunk.ops.clear();
+        chunk.segments.clear();
+        TimingSegment run;
+        for (uint64_t i = 0; i < n; ++i) {
+            const Access access = gen.next();
+            const bool emitted = front.walk(access, [&](const LlcOp &op) {
+                if (op.opensAccess()) {
+                    chunk.segments.push_back(run);
+                    run = TimingSegment{};
+                }
+                chunk.ops.push_back(op);
+            });
+            if (!emitted) {
+                run.gapSum += access.instrGap;
+                ++run.count;
+            }
+        }
+        chunk.tail = run;
         return true;
     };
 
@@ -242,19 +231,34 @@ runSingleCoreLockstep(
     // chunk k + 1 is decoded while the lanes replay chunk k.
     driveLanes<Chunk>(lanes.size(), threads, fillNext,
                       [&](size_t c, const Chunk &chunk) {
-                          walkLane(lanes[c], chunk, config);
+                          lanes[c]->walk(chunk);
                       });
 
     std::vector<SimResult> results;
     results.reserve(lanes.size());
-    for (Lane &lane : lanes) {
-        if (!lane.timing) // no measured accesses at all
-            beginMeasurement(lane, config);
-        results.push_back(makeSimResult(gen.name(),
-                                        lane.llc->policy().name(),
-                                        lane.llc->stats(), *lane.timing));
-    }
+    for (auto &lane : lanes)
+        results.push_back(lane->finish(gen.name()));
     return results;
+}
+
+std::vector<SimResult>
+runSingleCoreLockstep(
+    AccessGenerator &gen, const SimConfig &config,
+    const std::vector<
+        std::function<std::unique_ptr<ReplacementPolicy>()>> &makePolicies,
+    unsigned threads)
+{
+    PrivateLevel front(config.hierarchy.l2, config.hierarchy.numThreads);
+    std::vector<std::unique_ptr<Cache>> owned;
+    std::vector<Cache *> llcs;
+    for (const auto &factory : makePolicies) {
+        auto policy = factory();
+        PDP_CHECK(policy != nullptr, "policy factory returned null");
+        owned.push_back(std::make_unique<Cache>(config.hierarchy.llc,
+                                                std::move(policy)));
+        llcs.push_back(owned.back().get());
+    }
+    return runSingleCoreLockstep(gen, front, llcs, config, threads);
 }
 
 } // namespace pdp

@@ -28,7 +28,6 @@ struct SimConfig
     uint64_t warmup = 1'000'000;
     TimingParams timing{};
     HierarchyConfig hierarchy{};
-    bool withPrefetcher = false;
     /** Incremental invariant-audit cadence on the LLC (accesses between
      *  audit ticks); 0 disables auditing. See src/check/. */
     uint64_t auditEvery = 0;
@@ -81,8 +80,11 @@ SimResult makeSimResult(std::string benchmark, std::string policy,
                         const CacheStats &llc, const TimingModel &timing);
 
 /**
- * Drive `gen` through an existing hierarchy.  The caller keeps access to
- * the hierarchy for instrumentation (PD history, occupancy observers).
+ * Drive `gen` through an existing hierarchy: the one-lane, one-thread
+ * case of runSingleCoreLockstep (sim/lockstep_sweep.h), whose front end
+ * is the hierarchy's private level (with any prefetcher attached to it)
+ * and whose lane is its LLC.  The caller keeps access to the hierarchy
+ * for instrumentation (PD history, occupancy observers).
  */
 SimResult runSingleCore(AccessGenerator &gen, Hierarchy &hierarchy,
                         const SimConfig &config);

@@ -1,6 +1,7 @@
 #include "sim/static_pd_search.h"
 
 #include "core/pdp_policy.h"
+#include "sim/lockstep_sweep.h"
 #include "trace/spec_suite.h"
 
 namespace pdp
@@ -20,17 +21,24 @@ bestStaticPd(const std::string &benchmark, bool bypass,
     if (grid.empty())
         grid = defaultPdGrid();
 
+    std::vector<std::function<std::unique_ptr<ReplacementPolicy>()>>
+        factories;
+    for (uint32_t pd : grid)
+        factories.push_back([pd, bypass] {
+            return bypass ? makeSpdpB(pd) : makeSpdpNb(pd);
+        });
+    auto gen = SpecSuite::make(benchmark);
+    std::vector<SimResult> results =
+        runSingleCoreLockstep(*gen, config, factories);
+
     StaticPdResult out;
-    for (uint32_t pd : grid) {
-        auto gen = SpecSuite::make(benchmark);
-        Hierarchy hierarchy(config.hierarchy,
-                            bypass ? makeSpdpB(pd) : makeSpdpNb(pd));
-        SimResult r = runSingleCore(*gen, hierarchy, config);
-        if (out.bestPd == 0 || r.llcMisses < out.best.llcMisses) {
-            out.bestPd = pd;
-            out.best = r;
+    for (size_t i = 0; i < grid.size(); ++i) {
+        // Strictly fewer misses wins: ties keep the earliest grid point.
+        if (out.bestPd == 0 || results[i].llcMisses < out.best.llcMisses) {
+            out.bestPd = grid[i];
+            out.best = results[i];
         }
-        out.sweep.emplace_back(pd, std::move(r));
+        out.sweep.emplace_back(grid[i], std::move(results[i]));
     }
     return out;
 }

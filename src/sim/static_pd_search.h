@@ -30,7 +30,10 @@ struct StaticPdResult
 std::vector<uint32_t> defaultPdGrid();
 
 /**
- * Sweep static PDs for one benchmark and return the miss-minimizing one.
+ * Sweep static PDs for one benchmark and return the miss-minimizing one
+ * (strictly fewer misses wins, so ties keep the earliest grid point).
+ * The grid runs as one lockstep call: one decode, one lane per PD, on
+ * the caller's thread.
  *
  * @param benchmark suite benchmark name
  * @param bypass true for SPDP-B, false for SPDP-NB

@@ -160,7 +160,6 @@ TEST(Integration, PrefetchAwareVariantsDoNotRegress)
     SimConfig config;
     config.accesses = 400000;
     config.warmup = 150000;
-    config.withPrefetcher = true;
 
     auto run = [&](PdpParams::PrefetchMode mode) {
         PdpParams params;

@@ -16,9 +16,10 @@
  *
  * The sweep suites (fig4, fig10, exhaustive explore) run each
  * benchmark's policy grid as one wide job over a single trace decode,
- * on every worker; --telemetry/--trace, or a --filter naming cells
- * rather than a benchmark's "<prefix>lockstep" group, run independent
- * per-cell jobs instead.  Records are byte-identical either way.
+ * on every worker, with --telemetry/--trace observers in the lanes; a
+ * --filter naming cells rather than a benchmark's "<prefix>lockstep"
+ * group narrows the group to those cells, and --perf-counters runs one
+ * single-lane job per cell.  Records are byte-identical either way.
  *
  * --telemetry records per-epoch policy snapshots (PD, RDD, PSEL,
  * partition allocations, interval hit rates) into each job's results;
@@ -90,8 +91,9 @@ printUsage(std::FILE *to)
                  "                       [--explore] [--explore-topk N]\n"
                  "\n"
                  "Sweep suites run each benchmark's grid as one job over\n"
-                 "one trace decode on every worker; --telemetry, --trace\n"
-                 "or a --filter naming cells run independent cell jobs.\n"
+                 "one trace decode on every worker; a --filter naming\n"
+                 "cells runs just those cells, and --perf-counters one\n"
+                 "job per cell.\n"
                  "\n"
                  "--telemetry samples per-epoch policy state into the\n"
                  "BENCH json (optional =DIR overrides --json); --trace\n"
