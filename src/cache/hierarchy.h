@@ -50,15 +50,15 @@ struct HierarchyConfig
 };
 
 /** One LLC op of the private level's output, in hierarchy order: an
- *  access's demand op, its dirty L2 victim's writeback, then per
- *  prefetch candidate the fill and its L2 victim's writeback. */
+ *  access's opening op (its demand op, or an L2Hit marker), its dirty
+ *  L2 victim's writeback, then per prefetch candidate the fill and its
+ *  L2 victim's writeback.  Every access opens exactly one op. */
 struct LlcOp
 {
     enum Kind : uint8_t
     {
         Demand,    //!< an L2 miss; opens its access
-        L2Hit,     //!< no LLC access; opens an L2 hit that prefetches
-                   //!< (or any L2-served service request)
+        L2Hit,     //!< no LLC access; opens an access the L2 served
         Writeback, //!< a dirty L2 victim
         Prefetch,  //!< a fill, only if this LLC lacks the line
     };
@@ -112,10 +112,10 @@ class PrivateLevel
     }
 
     /** Run one access through its thread's L2 and the prefetcher,
-     *  calling emit(const LlcOp &) per LLC op.  Returns true when the
-     *  access emitted any op (its first op then opens it). */
+     *  calling emit(const LlcOp &) per LLC op.  The first op opens the
+     *  access: its demand op on an L2 miss, else an L2Hit marker. */
     template <typename Emit>
-    bool
+    void
     walk(const Access &access, Emit &&emit)
     {
         Cache &l2 = *l2s_[access.threadId < l2s_.size() ? access.threadId
@@ -127,14 +127,12 @@ class PrivateLevel
         ctx.threadId = access.threadId;
         ctx.isWrite = access.isWrite;
         const AccessOutcome out = l2.access(ctx);
-        if (!out.hit) {
-            emit(LlcOp{access.lineAddr, access.pc, access.instrGap,
-                       access.threadId, access.isWrite, LlcOp::Demand});
-            emitWriteback(out, emit);
-        }
+        emit(LlcOp{access.lineAddr, access.pc, access.instrGap,
+                   access.threadId, access.isWrite,
+                   out.hit ? LlcOp::L2Hit : LlcOp::Demand});
+        emitWriteback(out, emit);
         if (prefetcher_)
-            return prefetch(access, l2, !out.hit, emit);
-        return !out.hit;
+            prefetch(access, l2, !out.hit, emit);
     }
 
   private:
@@ -155,18 +153,13 @@ class PrivateLevel
      *  the LLC entirely — in every case the L2 copy preserves the
      *  prefetch benefit, and the variants only differ in LLC pollution. */
     template <typename Emit>
-    bool
+    void
     prefetch(const Access &access, Cache &l2, bool l2_miss, Emit &emit)
     {
-        bool emitted = l2_miss;
         for (uint64_t addr :
              prefetcher_->onDemand(access.lineAddr, l2_miss)) {
             if (l2.contains(addr))
                 continue;
-            if (!emitted)
-                emit(LlcOp{access.lineAddr, access.pc, access.instrGap,
-                           access.threadId, false, LlcOp::L2Hit});
-            emitted = true;
             emit(LlcOp{addr, access.pc, 0, access.threadId, false,
                        LlcOp::Prefetch});
             AccessContext pf;
@@ -177,7 +170,6 @@ class PrivateLevel
             pf.isPrefetch = true;
             emitWriteback(l2.access(pf), emit);
         }
-        return emitted;
     }
 
     std::vector<std::unique_ptr<Cache>> l2s_;

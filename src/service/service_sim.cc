@@ -289,12 +289,9 @@ class ServiceFrontEnd
             clock.advance();
             arrivals_[pick] = clock.nextArrival();
 
-            if (!privateLevel_.walk(access, [&](const LlcOp &op) {
-                    chunk.ops.push_back(op);
-                }))
-                chunk.ops.push_back({access.lineAddr, access.pc,
-                                     access.instrGap, access.threadId,
-                                     access.isWrite, LlcOp::L2Hit});
+            privateLevel_.walk(access, [&](const LlcOp &op) {
+                chunk.ops.push_back(op);
+            });
         }
     }
 

@@ -23,36 +23,27 @@ static_assert(sizeof(LlcOp) == 24, "LlcOp is the chunk buffers' bulk");
  *  resident in the host's caches while every lane walks them. */
 constexpr size_t kStreamChunk = size_t{1} << 15;
 
-/** A run of consecutive op-less accesses (L2 hits) before an opening
- *  op: summed instruction gaps plus the count.  They are lane-invariant,
- *  so a lane folds each run into one TimingModel::onL2Hits call (and
- *  one sampler tick): O(LLC ops) per lane, not O(accesses). */
-struct TimingSegment
-{
-    uint64_t gapSum = 0;
-    uint32_t count = 0;
-};
-
-/** One chunk of the LLC op stream; it ends between accesses. */
+/** One chunk of the LLC op stream.  Every access opens exactly one op
+ *  (PrivateLevel::walk), so the stream alone says where each access
+ *  starts; a chunk ends between accesses. */
 struct Chunk
 {
     std::vector<LlcOp> ops;
-    /** One TimingSegment per opening op, in op order. */
-    std::vector<TimingSegment> segments;
-    /** Op-less accesses after the chunk's last opening op. */
-    TimingSegment tail;
     /** Measured phase (false: warmup, no timing). */
     bool measured = false;
 };
 
 /** One LLC's simulation state: the cache, from its first measured
- *  chunk on a timing model, and the observers the config asks for.  A
- *  lane is touched by one worker at a time, and chunks reach it in
+ *  chunk on its timing models, and the observers the config asks for.
+ *  A lane is touched by one worker at a time, and chunks reach it in
  *  stream order (sim/lane_crew.h). */
 class Lane
 {
   public:
-    Lane(Cache &llc, const SimConfig &config) : llc_(llc), config_(config)
+    /** @param perThread time thread t's accesses on model t (one model
+     *         per hierarchy thread), instead of all on one model */
+    Lane(Cache &llc, const SimConfig &config, bool perThread)
+        : llc_(llc), config_(config), perThread_(perThread)
     {
         // The auditor only watches the measured phase, so the warmup
         // runs at full speed.
@@ -83,7 +74,7 @@ class Lane
     void
     walk(const Chunk &chunk)
     {
-        if (chunk.measured && !timing_)
+        if (chunk.measured && timers_.empty())
             beginMeasurement();
         // The sampler tick lives in its own instantiation, so the
         // unobserved walk carries no per-op observer branch.
@@ -93,14 +84,17 @@ class Lane
             replay<false>(chunk);
     }
 
+    /** Close the run.  Timed per thread, the SimResult's timing fields
+     *  stay zero and timers() holds the per-thread models. */
     SimResult
     finish(const std::string &benchmark)
     {
-        if (!timing_) // no measured accesses at all
+        if (timers_.empty()) // no measured accesses at all
             beginMeasurement();
         phase_.reset();
-        SimResult result = makeSimResult(benchmark, llc_.policy().name(),
-                                         llc_.stats(), *timing_);
+        SimResult result = makeSimResult(
+            benchmark, llc_.policy().name(), llc_.stats(),
+            perThread_ ? TimingModel(config_.timing) : timers_.front());
         if (auditor_) {
             llc_.setAuditor(nullptr);
             auditor_->auditNow();
@@ -115,6 +109,8 @@ class Lane
         return result;
     }
 
+    std::vector<TimingModel> &timers() { return timers_; }
+
   private:
     /** Enter the measured phase: discard warmup stats, start timing. */
     void
@@ -126,52 +122,54 @@ class Lane
             llc_.setAuditor(auditor_.get());
         if (sampler_)
             sampler_->beginMeasurement();
-        timing_.emplace(config_.timing);
+        timers_.assign(perThread_ ? config_.hierarchy.numThreads : 1,
+                       TimingModel(config_.timing));
         phase_.emplace(trace_, "measure");
     }
 
     /** Walk one chunk in a single pass: replay each op and, measured,
-     *  time each opened access, folding in the op-less runs.  Sampled,
-     *  an access is ticked right before the next one opens (or at the
-     *  chunk's end): after its last op, as a per-access loop ticks. */
+     *  time each access at its opening op.  Sampled, an access is
+     *  ticked right before the next one opens (or at the chunk's end):
+     *  after its last op, as a per-access loop ticks. */
     template <bool Sampled>
     void
     replay(const Chunk &chunk)
     {
         Cache &cache = llc_;
-        TimingModel *timing = timing_ ? &*timing_ : nullptr;
-        const TimingSegment *segment = chunk.segments.data();
-        uint64_t open = 0; // the opened access not yet ticked
+        TimingModel *timers = timers_.empty() ? nullptr : timers_.data();
+        const bool perThread = perThread_;
+        const LlcOp *first = chunk.ops.data();
         for (const LlcOp &op : chunk.ops) {
             if (!op.opensAccess()) {
                 applyNonDemand(cache, op);
                 continue;
             }
-            const TimingSegment &run = *segment++;
-            if constexpr (Sampled) {
-                sampler_->onAccesses(open + run.count);
-                open = 1;
-            }
+            if constexpr (Sampled)
+                if (&op != first)
+                    sampler_->onAccess();
             HitLevel level = HitLevel::L2;
             if (op.kind == LlcOp::Demand) {
                 const AccessOutcome out =
                     cache.access(op.context(cache.setIndex(op.lineAddr)));
                 level = out.hit ? HitLevel::Llc : HitLevel::Memory;
             }
-            if (!timing)
+            if (!timers)
                 continue;
-            timing->onL2Hits(run.gapSum, run.count);
-            timing->onAccess(op.gap, level);
+            PDP_DCHECK(!perThread || op.threadId < timers_.size(),
+                       "access of thread ", unsigned{op.threadId},
+                       " outside the lane's ", timers_.size(), " timers");
+            timers[perThread ? op.threadId : 0].onAccess(op.gap, level);
         }
+        // A chunk holds at least one access, and its first op opens it.
         if constexpr (Sampled)
-            sampler_->onAccesses(open + chunk.tail.count);
-        if (timing)
-            timing->onL2Hits(chunk.tail.gapSum, chunk.tail.count);
+            sampler_->onAccess();
     }
 
     Cache &llc_;
     const SimConfig &config_;
-    std::optional<TimingModel> timing_;
+    bool perThread_;
+    /** Empty until the measured phase begins. */
+    std::vector<TimingModel> timers_;
     std::unique_ptr<InvariantAuditor> auditor_;
     std::unique_ptr<telemetry::EpochSampler> sampler_;
     telemetry::EventTrace *trace_ = nullptr;
@@ -179,21 +177,14 @@ class Lane
     std::optional<telemetry::ScopedPhaseTimer> phase_;
 };
 
-} // namespace
-
-std::vector<SimResult>
-runSingleCoreLockstep(AccessGenerator &gen, PrivateLevel &front,
-                      const std::vector<Cache *> &llcs,
-                      const SimConfig &config, unsigned threads)
+/** Walk `gen` through `front` once, warmup chunks first and then
+ *  measured ones (no chunk spans the two), and replay every chunk on
+ *  every lane. */
+void
+driveStream(AccessGenerator &gen, PrivateLevel &front,
+            std::vector<std::unique_ptr<Lane>> &lanes,
+            const SimConfig &config, unsigned threads)
 {
-    if (llcs.empty())
-        return {};
-    std::vector<std::unique_ptr<Lane>> lanes;
-    lanes.reserve(llcs.size());
-    for (Cache *llc : llcs)
-        lanes.push_back(std::make_unique<Lane>(*llc, config));
-
-    // Warmup chunks first, then measured ones; no chunk spans the two.
     uint64_t warmup = config.warmup, measured = config.accesses;
     const auto fillNext = [&](Chunk &chunk) {
         uint64_t &budget = warmup > 0 ? warmup : measured;
@@ -202,27 +193,13 @@ runSingleCoreLockstep(AccessGenerator &gen, PrivateLevel &front,
         chunk.measured = &budget == &measured;
         const uint64_t n = std::min<uint64_t>(budget, kStreamChunk);
         budget -= n;
-        // Two ops per access (demand + dirty L2 victim) w/o prefetches.
+        // Two ops per access (opening op + dirty L2 victim) w/o
+        // prefetches.
         chunk.ops.reserve(2 * kStreamChunk);
-        chunk.segments.reserve(kStreamChunk);
         chunk.ops.clear();
-        chunk.segments.clear();
-        TimingSegment run;
-        for (uint64_t i = 0; i < n; ++i) {
-            const Access access = gen.next();
-            const bool emitted = front.walk(access, [&](const LlcOp &op) {
-                if (op.opensAccess()) {
-                    chunk.segments.push_back(run);
-                    run = TimingSegment{};
-                }
-                chunk.ops.push_back(op);
-            });
-            if (!emitted) {
-                run.gapSum += access.instrGap;
-                ++run.count;
-            }
-        }
-        chunk.tail = run;
+        for (uint64_t i = 0; i < n; ++i)
+            front.walk(gen.next(),
+                       [&](const LlcOp &op) { chunk.ops.push_back(op); });
         return true;
     };
 
@@ -233,12 +210,40 @@ runSingleCoreLockstep(AccessGenerator &gen, PrivateLevel &front,
                       [&](size_t c, const Chunk &chunk) {
                           lanes[c]->walk(chunk);
                       });
+}
+
+} // namespace
+
+std::vector<SimResult>
+runSingleCoreLockstep(AccessGenerator &gen, PrivateLevel &front,
+                      const std::vector<Cache *> &llcs,
+                      const SimConfig &config, unsigned threads)
+{
+    std::vector<std::unique_ptr<Lane>> lanes;
+    lanes.reserve(llcs.size());
+    for (Cache *llc : llcs)
+        lanes.push_back(std::make_unique<Lane>(*llc, config, false));
+    if (!lanes.empty())
+        driveStream(gen, front, lanes, config, threads);
 
     std::vector<SimResult> results;
     results.reserve(lanes.size());
     for (auto &lane : lanes)
         results.push_back(lane->finish(gen.name()));
     return results;
+}
+
+ThreadTimedRun
+runThreadTimedLane(AccessGenerator &gen, PrivateLevel &front, Cache &llc,
+                   const SimConfig &config)
+{
+    std::vector<std::unique_ptr<Lane>> lanes;
+    lanes.push_back(std::make_unique<Lane>(llc, config, true));
+    driveStream(gen, front, lanes, config, 1);
+    ThreadTimedRun run;
+    run.lane = lanes.front()->finish(gen.name());
+    run.timers = std::move(lanes.front()->timers());
+    return run;
 }
 
 std::vector<SimResult>

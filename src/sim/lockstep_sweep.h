@@ -1,6 +1,6 @@
 /**
  * @file
- * The single-core lane engine: N policy configs over ONE trace decode.
+ * The lane engine: N policy configs over ONE trace decode.
  *
  * The figure suites are sweep-shaped — the same benchmark simulated
  * under dozens of policy configs (the Fig. 4/Fig. 10 static-PD grids).
@@ -11,7 +11,8 @@
  * for every policy*: the results are byte-identical to N per-access
  * runs.  Each lane carries the observers its config asks for (epoch
  * sampler, event trace, invariant auditor) and resolves prefetch fills
- * against its own LLC; runSingleCore is the one-lane, one-thread case.
+ * against its own LLC; runSingleCore is the one-lane, one-thread case,
+ * and runMultiCore the same case timed per hierarchy thread.
  *
  * The per-chunk lane walks are independent, so they fan out across
  * `threads` workers that live for the whole call and claim lanes one at
@@ -59,6 +60,23 @@ std::vector<SimResult> runSingleCoreLockstep(
     AccessGenerator &gen, PrivateLevel &front,
     const std::vector<Cache *> &llcs, const SimConfig &config,
     unsigned threads = 1);
+
+/** What a lane timed per hierarchy thread leaves. */
+struct ThreadTimedRun
+{
+    /** The LLC counters, audits and telemetry; no timing fields. */
+    SimResult lane;
+    /** timers[t] timed thread t's measured accesses. */
+    std::vector<TimingModel> timers;
+};
+
+/**
+ * The multi-core case (sim/multi_core_sim.h): the engine's one-lane,
+ * one-thread run on `llc`, with one timing model per hierarchy thread
+ * (config.hierarchy.numThreads) instead of one for every access.
+ */
+ThreadTimedRun runThreadTimedLane(AccessGenerator &gen, PrivateLevel &front,
+                                  Cache &llc, const SimConfig &config);
 
 } // namespace pdp
 

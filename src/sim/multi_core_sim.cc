@@ -4,13 +4,13 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "check/invariant_auditor.h"
 #include "partition/pdp_partition.h"
 #include "partition/pipp.h"
 #include "partition/ta_drrip.h"
 #include "partition/ucp.h"
 #include "policies/basic.h"
 #include "policies/dip.h"
+#include "sim/lockstep_sweep.h"
 #include "sim/single_core_sim.h"
 #include "trace/spec_suite.h"
 
@@ -71,82 +71,79 @@ standaloneIpc(const std::string &benchmark, const MultiCoreConfig &config)
     return r.ipc;
 }
 
+namespace
+{
+
+/** A workload's threads interleaved round-robin by access, as one
+ *  stream: the paper's multiprogrammed schedule. */
+class RoundRobinGenerator final : public AccessGenerator
+{
+  public:
+    RoundRobinGenerator(std::vector<GeneratorPtr> threads, std::string name)
+        : threads_(std::move(threads)), name_(std::move(name))
+    {}
+
+    Access
+    next() override
+    {
+        const Access access = threads_[turn_]->next();
+        if (++turn_ == threads_.size())
+            turn_ = 0;
+        return access;
+    }
+
+    void
+    reset() override
+    {
+        for (GeneratorPtr &thread : threads_)
+            thread->reset();
+        turn_ = 0;
+    }
+
+    const std::string &name() const override { return name_; }
+
+  private:
+    std::vector<GeneratorPtr> threads_;
+    std::string name_;
+    size_t turn_ = 0;
+};
+
+} // namespace
+
 MultiCoreResult
 runMultiCore(const WorkloadSpec &workload, const std::string &policy_spec,
              const MultiCoreConfig &config)
 {
     const unsigned cores = static_cast<unsigned>(workload.benchmarks.size());
 
-    HierarchyConfig hcfg;
-    hcfg.numThreads = cores;
-    hcfg.llc = CacheConfig::paperLlc(cores);
-    Hierarchy hierarchy(hcfg, makeSharedPolicy(policy_spec, cores));
+    // Whole rounds only: every thread makes exactly its share of the
+    // warmup and of the measured accesses.
+    SimConfig sim;
+    sim.warmup = config.warmupPerThread * cores;
+    sim.accesses = config.accessesPerThread * cores;
+    sim.timing = config.timing;
+    sim.hierarchy.numThreads = cores;
+    sim.hierarchy.llc = CacheConfig::paperLlc(cores);
+    sim.auditEvery = config.auditEvery;
+    sim.auditFailFast = config.auditFailFast;
+    sim.telemetry = config.telemetry;
 
-    auto generators = instantiate(workload);
-    std::vector<TimingModel> timers(cores, TimingModel(config.timing));
+    PrivateLevel front(sim.hierarchy.l2, cores);
+    Cache llc(sim.hierarchy.llc, makeSharedPolicy(policy_spec, cores));
+    RoundRobinGenerator gen(instantiate(workload), workload.label());
+    ThreadTimedRun run = runThreadTimedLane(gen, front, llc, sim);
 
-    std::unique_ptr<InvariantAuditor> auditor;
-    if (config.auditEvery > 0) {
-        InvariantAuditor::Options opts;
-        opts.cadence = config.auditEvery;
-        opts.failFast = config.auditFailFast;
-        auditor = std::make_unique<InvariantAuditor>(opts);
-        auditor->watchCache(hierarchy.llc());
-    }
-
-    std::unique_ptr<telemetry::EpochSampler> sampler;
-    if (config.telemetry.enabled)
-        sampler = std::make_unique<telemetry::EpochSampler>(
-            config.telemetry, hierarchy.llc(),
-            config.accessesPerThread * cores, cores);
-
-    // Warmup: round-robin, stats discarded afterwards.
-    {
-        telemetry::ScopedPhaseTimer phase(
-            sampler ? sampler->trace() : nullptr, "warmup");
-        for (uint64_t i = 0; i < config.warmupPerThread; ++i)
-            for (unsigned t = 0; t < cores; ++t)
-                hierarchy.access(generators[t]->next());
-    }
-    hierarchy.resetStats();
-    if (auditor)
-        hierarchy.llc().setAuditor(auditor.get());
-    if (sampler)
-        sampler->beginMeasurement();
-
-    // Measured phase: per-thread stats freeze at the access budget; all
-    // threads keep running (generators are infinite) so contention stays
-    // realistic until everyone has finished, as in the paper.
     std::vector<ThreadOutcome> outcomes(cores);
-    std::vector<uint64_t> measured(cores, 0);
-    std::vector<uint64_t> frozenMisses(cores, 0);
-    unsigned remaining = cores;
-    {
-        telemetry::ScopedPhaseTimer phase(
-            sampler ? sampler->trace() : nullptr, "measure");
-        while (remaining > 0) {
-            for (unsigned t = 0; t < cores; ++t) {
-                const Access access = generators[t]->next();
-                const HierarchyResult res = hierarchy.access(access);
-                if (sampler)
-                    sampler->onAccess();
-                if (measured[t] >= config.accessesPerThread)
-                    continue;
-                timers[t].onAccess(access.instrGap, res.level);
-                if (++measured[t] == config.accessesPerThread) {
-                    ThreadOutcome &out = outcomes[t];
-                    out.benchmark = workload.benchmarks[t];
-                    out.ipc = timers[t].ipc();
-                    out.llcMisses = hierarchy.llc().stats().threadMisses[t] -
-                        frozenMisses[t];
-                    out.mpki = timers[t].instructions()
-                        ? 1000.0 * static_cast<double>(out.llcMisses) /
-                              static_cast<double>(timers[t].instructions())
-                        : 0.0;
-                    --remaining;
-                }
-            }
-        }
+    for (unsigned t = 0; t < cores; ++t) {
+        const TimingModel &timer = run.timers[t];
+        ThreadOutcome &out = outcomes[t];
+        out.benchmark = workload.benchmarks[t];
+        out.ipc = timer.ipc();
+        out.llcMisses = llc.stats().threadMisses[t];
+        out.mpki = timer.instructions()
+            ? 1000.0 * static_cast<double>(out.llcMisses) /
+                  static_cast<double>(timer.instructions())
+            : 0.0;
     }
 
     MultiCoreResult result;
@@ -164,17 +161,9 @@ runMultiCore(const WorkloadSpec &workload, const std::string &policy_spec,
     result.throughput = throughput;
     result.harmonicFairness =
         inv > 0 ? static_cast<double>(result.threads.size()) / inv : 0.0;
-    if (auditor) {
-        hierarchy.llc().setAuditor(nullptr);
-        auditor->auditNow();
-        result.auditsRun = auditor->auditsRun();
-        result.auditViolations = auditor->totalViolations();
-    }
-    if (sampler) {
-        sampler->finish();
-        result.telemetry = std::make_shared<telemetry::RunTelemetry>(
-            sampler->take());
-    }
+    result.auditsRun = run.lane.auditsRun;
+    result.auditViolations = run.lane.auditViolations;
+    result.telemetry = std::move(run.lane.telemetry);
     return result;
 }
 

@@ -3,9 +3,12 @@
  * The multi-core shared-LLC simulator and its metrics (Sec. 5).
  *
  * p cores, each with a private L2, share an LLC of p x 2 MB.  Threads
- * interleave round-robin by access; per-thread statistics freeze when the
- * thread reaches its access budget (the paper's "rewind and continue"
- * applies naturally because generators are infinite).
+ * interleave round-robin by access, so every thread makes its warmup and
+ * measured access budgets in whole rounds and all of them finish in the
+ * same last round: no thread runs past its budget or needs rewinding.
+ * The interleave never depends on timing, so one round-robin stream
+ * through the private L2s feeds the lane engine (sim/lockstep_sweep.h),
+ * whose one lane times each thread on its own model.
  *
  * Metrics (normalized to each thread's stand-alone LRU run on the same
  * shared-size LLC, as in the paper):

@@ -78,18 +78,6 @@ class TimingModel
         }
     }
 
-    /** Account a run of `count` L2 hits carrying `gapSum` summed
-     *  instructions — exactly equivalent to calling onAccess once per
-     *  hit (same integer sums), folded to O(1) so the lockstep sweep's
-     *  per-lane replay can skip the lane-invariant L2-hit accesses. */
-    void
-    onL2Hits(uint64_t gapSum, uint64_t count)
-    {
-        instructions_ += gapSum;
-        instrSinceMiss_ += gapSum;
-        stallCycles_ += count * params_.l2HitPenalty;
-    }
-
     uint64_t instructions() const { return instructions_; }
 
     uint64_t

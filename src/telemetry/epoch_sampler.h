@@ -121,23 +121,6 @@ class EpochSampler
         }
     }
 
-    /** `n` ticks at once, sampling at the same access counts as `n`
-     *  onAccess() calls.  Exact only while the ticked accesses leave
-     *  the cache untouched (the lane engine's folded L2-hit runs). */
-    void
-    onAccesses(uint64_t n)
-    {
-        while (n >= interval_ - sinceSample_) {
-            const uint64_t step = interval_ - sinceSample_;
-            accessCount_ += step;
-            n -= step;
-            sinceSample_ = 0;
-            sample();
-        }
-        accessCount_ += n;
-        sinceSample_ += n;
-    }
-
     /** Record the final partial epoch (if any accesses are pending). */
     void finish();
 

@@ -19,9 +19,11 @@ namespace pdp
  * Produces a deterministic, infinite stream of Access records.
  *
  * Generators are infinite: the simulator decides when to stop (by access
- * count or retired-instruction count).  reset() rewinds the stream to its
- * first access, which implements the paper's multiprogrammed "rewind and
- * continue" semantics for threads that finish early.
+ * count).  A multiprogrammed run interleaves its threads round-robin in
+ * whole rounds (sim/multi_core_sim.h), so no thread finishes early and
+ * the paper's "rewind and continue" never arises.  reset() rewinds the
+ * stream to its first access, for callers that replay one input several
+ * times (perfbench's timed repetitions).
  */
 class AccessGenerator
 {

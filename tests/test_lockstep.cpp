@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the single-core lane engine (sim/lockstep_sweep.h) and the
- * runner's multi-record job fan-out (Job::runMany).  The load-bearing
- * property throughout is byte-identity: lockstep execution must be
+ * Tests for the lane engine (sim/lockstep_sweep.h), single- and
+ * multi-core, and the runner's multi-record job fan-out
+ * (Job::runMany).  The load-bearing property throughout is
+ * byte-identity: lockstep execution must be
  * invisible in the results — the same SimResult fields, the same
  * telemetry, the same deterministic dumps — no matter how many lanes
  * share a decode or how many threads did the work.  The reference is a
@@ -16,10 +17,12 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "cache/hierarchy.h"
@@ -32,9 +35,11 @@
 #include "runner/suites.h"
 #include "runner/thread_pool.h"
 #include "sim/lockstep_sweep.h"
+#include "sim/multi_core_sim.h"
 #include "sim/policy_factory.h"
 #include "sim/static_pd_search.h"
 #include "trace/spec_suite.h"
+#include "trace/workload.h"
 #include "util/rng.h"
 
 using namespace pdp;
@@ -359,47 +364,212 @@ randomGeometry(Rng &rng)
     return config;
 }
 
+/** The whole roster on a benchmark, seed and geometry drawn from `rng`,
+ *  then `tweak`ed, as lanes of one 3-thread call against one oracle run
+ *  per policy.  Returns the prefetches the oracle runs issued. */
+uint64_t
+rosterMatchesOracle(Rng &rng, const std::function<void(Scenario &)> &tweak)
+{
+    const std::vector<std::string> benches = {"450.soplex", "482.sphinx3",
+                                              "429.mcf", "470.lbm"};
+    Scenario s;
+    s.bench = benches[rng.below(benches.size())];
+    s.seed = rng.next();
+    s.factories = rosterFactories();
+    s.config = randomGeometry(rng);
+    tweak(s);
+    s.config.hierarchy.numThreads = s.genThreads;
+    SCOPED_TRACE(s.bench);
+    uint64_t prefetches = 0;
+    expectSameResults(laneRuns(s, /*threads=*/3), oracleRuns(s, &prefetches));
+    return prefetches;
+}
+
+/** The stand-alone LRU IPC a multi-core baseline divides by, from the
+ *  single-core oracle on the shared-size LLC (memoized per benchmark). */
+double
+oracleStandaloneIpc(const std::string &benchmark,
+                    const MultiCoreConfig &config)
+{
+    static std::map<std::tuple<std::string, unsigned, uint64_t>, double>
+        memo;
+    const auto key =
+        std::make_tuple(benchmark, config.cores, config.accessesPerThread);
+    if (auto it = memo.find(key); it != memo.end())
+        return it->second;
+    SimConfig single;
+    single.accesses = config.accessesPerThread;
+    single.warmup = config.warmupPerThread;
+    single.timing = config.timing;
+    single.hierarchy.llc = CacheConfig::paperLlc(config.cores);
+    auto gen = SpecSuite::make(benchmark);
+    const double ipc =
+        oracleRun(*gen, std::make_unique<LruPolicy>(), single).ipc;
+    memo.emplace(key, ipc);
+    return ipc;
+}
+
+/**
+ * The frozen multi-core oracle: runMultiCore's per-access round-robin
+ * loop as it was before it became a lane, on the oracle hierarchy.
+ * Per-thread stats freeze at the access budget (every thread reaches it
+ * in the same round).
+ */
+MultiCoreResult
+oracleMultiCore(const WorkloadSpec &workload, const std::string &policy_spec,
+                const MultiCoreConfig &config)
+{
+    const unsigned cores = static_cast<unsigned>(workload.benchmarks.size());
+    HierarchyConfig hcfg;
+    hcfg.numThreads = cores;
+    hcfg.llc = CacheConfig::paperLlc(cores);
+    OracleHierarchy hierarchy(hcfg, makeSharedPolicy(policy_spec, cores),
+                              /*prefetch=*/false);
+    auto generators = instantiate(workload);
+    std::vector<TimingModel> timers(cores, TimingModel(config.timing));
+
+    std::unique_ptr<InvariantAuditor> auditor;
+    if (config.auditEvery > 0) {
+        InvariantAuditor::Options opts;
+        opts.cadence = config.auditEvery;
+        opts.failFast = config.auditFailFast;
+        auditor = std::make_unique<InvariantAuditor>(opts);
+        auditor->watchCache(hierarchy.llc());
+    }
+    std::unique_ptr<telemetry::EpochSampler> sampler;
+    if (config.telemetry.enabled)
+        sampler = std::make_unique<telemetry::EpochSampler>(
+            config.telemetry, hierarchy.llc(),
+            config.accessesPerThread * cores, cores);
+
+    for (uint64_t i = 0; i < config.warmupPerThread; ++i)
+        for (unsigned t = 0; t < cores; ++t)
+            hierarchy.access(generators[t]->next());
+    hierarchy.llc().resetStats();
+    if (auditor)
+        hierarchy.llc().setAuditor(auditor.get());
+    if (sampler)
+        sampler->beginMeasurement();
+
+    std::vector<ThreadOutcome> outcomes(cores);
+    std::vector<uint64_t> measured(cores, 0);
+    unsigned remaining = cores;
+    while (remaining > 0) {
+        for (unsigned t = 0; t < cores; ++t) {
+            const Access access = generators[t]->next();
+            const HitLevel level = hierarchy.access(access);
+            if (sampler)
+                sampler->onAccess();
+            if (measured[t] >= config.accessesPerThread)
+                continue;
+            timers[t].onAccess(access.instrGap, level);
+            if (++measured[t] == config.accessesPerThread) {
+                ThreadOutcome &out = outcomes[t];
+                out.benchmark = workload.benchmarks[t];
+                out.ipc = timers[t].ipc();
+                out.llcMisses = hierarchy.llc().stats().threadMisses[t];
+                out.mpki = timers[t].instructions()
+                    ? 1000.0 * static_cast<double>(out.llcMisses) /
+                          static_cast<double>(timers[t].instructions())
+                    : 0.0;
+                --remaining;
+            }
+        }
+    }
+
+    MultiCoreResult result;
+    result.policy = policy_spec;
+    result.threads = std::move(outcomes);
+    double weighted = 0.0, throughput = 0.0, inv = 0.0;
+    for (const ThreadOutcome &out : result.threads) {
+        const double single = oracleStandaloneIpc(out.benchmark, config);
+        weighted += single > 0 ? out.ipc / single : 0.0;
+        throughput += out.ipc;
+        inv += out.ipc > 0 ? single / out.ipc : 0.0;
+    }
+    result.weightedIpc = weighted;
+    result.throughput = throughput;
+    result.harmonicFairness =
+        inv > 0 ? static_cast<double>(result.threads.size()) / inv : 0.0;
+    if (auditor) {
+        hierarchy.llc().setAuditor(nullptr);
+        auditor->auditNow();
+        result.auditsRun = auditor->auditsRun();
+        result.auditViolations = auditor->totalViolations();
+    }
+    if (sampler) {
+        sampler->finish();
+        result.telemetry = std::make_shared<telemetry::RunTelemetry>(
+            sampler->take());
+    }
+    return result;
+}
+
+/** Every MultiCoreResult field, compared exactly. */
+void
+expectSameMultiCore(const MultiCoreResult &a, const MultiCoreResult &b)
+{
+    EXPECT_EQ(a.policy, b.policy);
+    ASSERT_EQ(a.threads.size(), b.threads.size());
+    for (size_t t = 0; t < a.threads.size(); ++t) {
+        SCOPED_TRACE("thread " + std::to_string(t));
+        EXPECT_EQ(a.threads[t].benchmark, b.threads[t].benchmark);
+        EXPECT_EQ(a.threads[t].ipc, b.threads[t].ipc);
+        EXPECT_EQ(a.threads[t].mpki, b.threads[t].mpki);
+        EXPECT_EQ(a.threads[t].llcMisses, b.threads[t].llcMisses);
+    }
+    EXPECT_EQ(a.weightedIpc, b.weightedIpc);
+    EXPECT_EQ(a.throughput, b.throughput);
+    EXPECT_EQ(a.harmonicFairness, b.harmonicFairness);
+    EXPECT_EQ(a.auditsRun, b.auditsRun);
+    EXPECT_EQ(a.auditViolations, b.auditViolations);
+    ASSERT_EQ(a.telemetry != nullptr, b.telemetry != nullptr);
+    if (a.telemetry) {
+        EXPECT_EQ(toJson(*a.telemetry, false).dump(),
+                  toJson(*b.telemetry, false).dump());
+    }
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
 // Lockstep sweep driver.
 
+// The whole roster on a random geometry and benchmark seed per variant,
+// with each observer and the prefetcher on in turn: every lane must match
+// its own oracle run field for field, whatever global state (dueling,
+// samplers, RNGs) the policy keeps.  One ctest entry per variant.
+
 TEST(LockstepSweepTest, MatchesIndependentRuns)
 {
-    // The whole roster on a random geometry and benchmark seed per
-    // variant, with each observer and the prefetcher on in turn: every
-    // lane must match its own oracle run field for field, whatever
-    // global state (dueling, samplers, RNGs) the policy keeps.
-    const std::vector<std::string> benches = {"450.soplex", "482.sphinx3",
-                                              "429.mcf", "470.lbm"};
     Rng rng(0x1a9e5);
-    const auto variant = [&](const std::string &name,
-                             const std::function<void(Scenario &)> &tweak) {
-        SCOPED_TRACE(name);
-        Scenario s;
-        s.bench = benches[rng.below(benches.size())];
-        s.seed = rng.next();
-        s.factories = rosterFactories();
-        s.config = randomGeometry(rng);
-        tweak(s);
-        s.config.hierarchy.numThreads = s.genThreads;
-        uint64_t prefetches = 0;
-        expectSameResults(laneRuns(s, /*threads=*/3),
-                          oracleRuns(s, &prefetches));
-        return prefetches;
-    };
+    rosterMatchesOracle(rng, [](Scenario &) {});
+}
 
-    variant("plain", [](Scenario &) {});
-    variant("telemetry + trace", [&](Scenario &s) {
+TEST(LockstepSweepTest, MatchesIndependentRunsWithTelemetryAndTrace)
+{
+    Rng rng(0x7e1e5);
+    rosterMatchesOracle(rng, [&](Scenario &s) {
         s.config.telemetry.enabled = true;
         s.config.telemetry.traceEvents = true;
-        // Short epochs, so folded L2-hit runs cross epoch edges.
+        // Short epochs, so epoch edges fall between accesses of every
+        // kind (L2 hits included).
         s.config.telemetry.interval = 500 + rng.below(3000);
     });
-    variant("audit", [&](Scenario &s) {
+}
+
+TEST(LockstepSweepTest, MatchesIndependentRunsWithAuditing)
+{
+    Rng rng(0xa0d17);
+    rosterMatchesOracle(rng, [&](Scenario &s) {
         s.config.auditEvery = 1 + rng.below(32);
     });
-    const uint64_t prefetches = variant("prefetcher", [](Scenario &s) {
+}
+
+TEST(LockstepSweepTest, MatchesIndependentRunsWithThePrefetcher)
+{
+    Rng rng(0x9f37c);
+    const uint64_t prefetches = rosterMatchesOracle(rng, [](Scenario &s) {
         s.prefetch = true;
         for (auto mode : {PdpParams::PrefetchMode::Normal,
                           PdpParams::PrefetchMode::InsertPdOne,
@@ -407,7 +577,13 @@ TEST(LockstepSweepTest, MatchesIndependentRuns)
             s.factories.push_back(pdpWithPrefetchMode(mode));
     });
     EXPECT_GT(prefetches, 0u) << "the prefetch variant never prefetched";
-    variant("4 hierarchy threads", [](Scenario &s) {
+}
+
+TEST(LockstepSweepTest, MatchesIndependentRunsOnFourHierarchyThreads)
+{
+    // Four threads' accesses, all timed on the lane's one model.
+    Rng rng(0x4e4d3);
+    rosterMatchesOracle(rng, [](Scenario &s) {
         s.genThreads = 4;
         s.config.telemetry.enabled = true;
     });
@@ -548,6 +724,80 @@ TEST(LockstepSweepTest, LaneFailureSurfacesOnTheCaller)
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Multi-core: runMultiCore is the one-lane case timed per thread.
+
+/** A shared-LLC policy on a workload of `cores` threads. */
+struct MultiCoreCase
+{
+    std::string policy;
+    unsigned cores;
+};
+
+void
+PrintTo(const MultiCoreCase &c, std::ostream *os)
+{
+    *os << c.policy << " on " << c.cores << " cores";
+}
+
+class MultiCoreLaneTest : public ::testing::TestWithParam<MultiCoreCase>
+{};
+
+TEST_P(MultiCoreLaneTest, MatchesThePerAccessLoop)
+{
+    // Long enough to cross UCP's and PIPP's first repartition (1M LLC
+    // accesses) and the first PD recompute; a duplicated benchmark
+    // exercises the per-instance address spaces.
+    const MultiCoreCase &c = GetParam();
+    WorkloadSpec workload = randomWorkloads(1, c.cores, 0x5eed)[0];
+    workload.benchmarks.back() = workload.benchmarks.front();
+    MultiCoreConfig base;
+    base.cores = c.cores;
+    base.accessesPerThread = 1'000'000 / c.cores;
+    base.warmupPerThread = 200'000 / c.cores;
+
+    const auto check = [&](const std::string &mode,
+                           const MultiCoreConfig &config) {
+        SCOPED_TRACE(mode);
+        const MultiCoreResult oracle =
+            oracleMultiCore(workload, c.policy, config);
+        expectSameMultiCore(runMultiCore(workload, c.policy, config),
+                            oracle);
+        if (config.telemetry.enabled) {
+            EXPECT_GT(oracle.telemetry->epochs.size(), 100u);
+        }
+        if (config.auditEvery > 0) {
+            EXPECT_GT(oracle.auditsRun, 0u);
+        }
+    };
+    check("plain", base);
+    MultiCoreConfig traced = base;
+    traced.telemetry.enabled = true;
+    traced.telemetry.traceEvents = true;
+    // Epoch edges fall mid-round.
+    traced.telemetry.interval = 7919;
+    check("telemetry + trace", traced);
+    MultiCoreConfig audited = base;
+    audited.auditEvery = 7;
+    check("audit", audited);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SharedPolicies, MultiCoreLaneTest,
+    ::testing::ValuesIn([] {
+        std::vector<MultiCoreCase> cases;
+        for (const char *policy :
+             {"LRU", "DIP", "TA-DRRIP", "UCP", "PIPP", "PDP-2", "PDP-3"})
+            for (unsigned cores : {2u, 4u})
+                cases.push_back({policy, cores});
+        return cases;
+    }()),
+    [](const ::testing::TestParamInfo<MultiCoreCase> &info) {
+        std::string name = info.param.policy;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name + "_" + std::to_string(info.param.cores) + "cores";
+    });
 
 // ---------------------------------------------------------------------------
 // Runner fan-out: Job::runMany.

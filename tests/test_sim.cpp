@@ -157,6 +157,28 @@ TEST(MultiCoreSim, WorkloadRunIsDeterministic)
     EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
 }
 
+TEST(MultiCoreSim, ZeroAccessBudgetReturns)
+{
+    // Zero measured accesses per thread: every thread is named, timed
+    // at nothing, and the run ends.
+    WorkloadSpec workload;
+    workload.benchmarks = {"403.gcc", "470.lbm"};
+    MultiCoreConfig config;
+    config.cores = 2;
+    config.accessesPerThread = 0;
+    config.warmupPerThread = 2'000;
+    const MultiCoreResult r = runMultiCore(workload, "UCP", config);
+    ASSERT_EQ(r.threads.size(), 2u);
+    for (size_t t = 0; t < r.threads.size(); ++t) {
+        EXPECT_EQ(r.threads[t].benchmark, workload.benchmarks[t]);
+        EXPECT_EQ(r.threads[t].ipc, 0.0);
+        EXPECT_EQ(r.threads[t].mpki, 0.0);
+        EXPECT_EQ(r.threads[t].llcMisses, 0u);
+    }
+    EXPECT_EQ(r.weightedIpc, 0.0);
+    EXPECT_EQ(r.throughput, 0.0);
+}
+
 TEST(StreamPrefetcher, DetectsAscendingStream)
 {
     StreamPrefetcher prefetcher;
