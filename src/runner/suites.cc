@@ -3,14 +3,18 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <optional>
 #include <ostream>
 #include <thread>
 
 #include "cache/hierarchy.h"
+#include "cache/occupancy_tracker.h"
 #include "check/flight_recorder.h"
 #include "cache/reference_cache.h"
+#include "core/hit_rate_model.h"
 #include "core/pdp_policy.h"
+#include "core/rdd.h"
 #include "model/analytic_model.h"
 #include "policies/rrip.h"
 #include "runner/thread_pool.h"
@@ -148,31 +152,48 @@ serviceJob(std::string key, std::vector<TenantSpec> tenants,
 }
 
 Job
-lockstepSweepJob(
-    std::string key, std::string benchmark,
-    std::vector<std::pair<
-        std::string, std::function<std::unique_ptr<ReplacementPolicy>()>>>
-        cells,
-    const SimConfig &config)
+lockstepSweepJob(std::string key, std::string benchmark,
+                 std::vector<PolicyCell> cells, const SimConfig &config,
+                 bool prefetcher)
 {
     Job job;
     job.key = std::move(key);
     job.seed = seedFor(benchmark);
     job.wide = true;
-    job.runMany = [benchmark = std::move(benchmark),
-                   cells = std::move(cells), config](const JobContext &ctx) {
+    job.runMany = [benchmark = std::move(benchmark), cells = std::move(cells),
+                   config, prefetcher](const JobContext &ctx) {
         auto gen = SpecSuite::make(benchmark, ctx.seed);
-        std::vector<std::function<std::unique_ptr<ReplacementPolicy>()>>
-            factories;
-        factories.reserve(cells.size());
-        for (const auto &cell : cells)
-            factories.push_back(cell.second);
-        const std::vector<SimResult> results =
-            runSingleCoreLockstep(*gen, config, factories, ctx.threads);
+        std::vector<SimResult> results;
+        std::vector<std::map<std::string, double>> extras(cells.size());
+        // The front end and LLCs go before the records are built: kept
+        // alive across the record copies they raise fig10's peak RSS by
+        // ~1 MB (the next group's LLCs no longer fit the freed block).
+        {
+            PrivateLevel front(config.hierarchy.l2,
+                               config.hierarchy.numThreads);
+            if (prefetcher)
+                front.attachPrefetcher(std::make_unique<StreamPrefetcher>());
+            std::vector<std::unique_ptr<Cache>> owned;
+            std::vector<Cache *> llcs;
+            std::vector<LaneReader> readers;
+            for (const PolicyCell &cell : cells) {
+                owned.push_back(std::make_unique<Cache>(config.hierarchy.llc,
+                                                        cell.makePolicy()));
+                llcs.push_back(owned.back().get());
+                readers.push_back(cell.probe ? cell.probe(*owned.back())
+                                             : nullptr);
+            }
+            results = runSingleCoreLockstep(*gen, front, llcs, config,
+                                            ctx.threads);
+            for (size_t c = 0; c < cells.size(); ++c)
+                if (readers[c])
+                    readers[c](extras[c]);
+        }
         std::vector<KeyedOutcome> outcomes(results.size());
         for (size_t c = 0; c < results.size(); ++c) {
-            outcomes[c].key = cells[c].first;
-            outcomes[c].outcome.single = results[c];
+            outcomes[c].key = cells[c].key;
+            outcomes[c].outcome.single = std::move(results[c]);
+            outcomes[c].outcome.metrics = std::move(extras[c]);
         }
         return outcomes;
     };
@@ -206,9 +227,6 @@ scaledConfig(const SuiteOptions &options, uint64_t accesses = 3'000'000,
     return config.scaled(options.scale);
 }
 
-using PolicyCell = std::pair<
-    std::string, std::function<std::unique_ptr<ReplacementPolicy>()>>;
-
 /** Emit one benchmark's sweep cells as one wide lockstep group job (key
  *  "<prefix>lockstep"), observers in its lanes.  A --filter naming cells
  *  keeps just those, in a group whose key carries the filter.  Hardware
@@ -222,14 +240,15 @@ emitCells(std::vector<Job> *jobs, const SuiteOptions &options,
 {
     if (options.perfCounters) {
         for (PolicyCell &cell : cells)
-            jobs->push_back(singleCoreJob(std::move(cell.first), bench,
-                                          std::move(cell.second), config));
+            jobs->push_back(singleCoreJob(std::move(cell.key), bench,
+                                          std::move(cell.makePolicy),
+                                          config));
         return;
     }
     std::string group = prefix + "lockstep";
     if (group.find(options.filter) == std::string::npos) {
         std::erase_if(cells, [&](const PolicyCell &cell) {
-            return cell.first.find(options.filter) == std::string::npos;
+            return cell.key.find(options.filter) == std::string::npos;
         });
         group += "[" + options.filter + "]";
     }
@@ -435,6 +454,7 @@ reportFig4(std::ostream &out, const RecordLookup &records)
     Table table({"benchmark", "DRRIP best-eps", "SPDP-NB", "SPDP-B",
                  "best PD (NB)", "best PD (B)"});
     Accumulator avg_eps, avg_nb, avg_b;
+    std::vector<uint32_t> best_b;
 
     for (const std::string &bench : SpecSuite::singleCoreNames()) {
         const std::string prefix = "fig4/" + bench + "/";
@@ -477,6 +497,7 @@ reportFig4(std::ostream &out, const RecordLookup &records)
         table.addRow({bench, Table::pct(r_eps), Table::pct(r_nb),
                       Table::pct(r_b), std::to_string(nb.pd),
                       std::to_string(bp.pd)});
+        best_b.push_back(bp.pd);
     }
     table.addRow({"AVERAGE", Table::pct(avg_eps.mean()),
                   Table::pct(avg_nb.mean()), Table::pct(avg_b.mean()), "",
@@ -485,6 +506,27 @@ reportFig4(std::ostream &out, const RecordLookup &records)
 
     out << "\nPaper reference: SPDP-B >= SPDP-NB >= DRRIP(best eps) "
            ">= 0 on nearly every benchmark.\n";
+
+    // Table 2 is the histogram of the "best PD (B)" column: the same
+    // SPDP-B grid, run length and tie-break.
+    out << "\n==== Table 2: distribution of optimal PDs (best PD (B) "
+           "above) ====\n\n";
+    Table summary({"PD range", "# benchmarks"});
+    uint32_t lo = 0;
+    for (const auto &[range, hi] :
+         {std::pair<const char *, uint32_t>{"16-64", 64}, {"65-128", 128},
+          {"129-192", 192}, {"193-256", 256}, {">256", UINT32_MAX}}) {
+        summary.addRow({range, std::to_string(std::count_if(
+                                   best_b.begin(), best_b.end(),
+                                   [&](uint32_t pd) {
+                                       return pd > lo && pd <= hi;
+                                   }))});
+        lo = hi;
+    }
+    summary.print(out);
+    out << "\nPaper reference: zero benchmarks above 256 (d_max = 256 "
+           "suffices); a handful above 128 (d_max = 128 would cost "
+           "performance).\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -1046,6 +1088,633 @@ reportExplore(std::ostream &out, const RecordLookup &records)
         out << "\nexhaustive grid (38 cells per benchmark); rerun with "
                "--explore to let the analytic model prune it.\n";
     }
+}
+
+// ---------------------------------------------------------------------------
+// The remaining paper artifacts, on the same harness as the sweep suites:
+// lockstep groups over one decode per benchmark, or a fingerprint pass
+// where the figure is a reuse-distance distribution, with per-lane
+// extras in the records' metrics.
+
+/** Metric `name` of `key`'s record, or `fallback` when absent. */
+double
+metricOr(const RecordLookup &records, const std::string &key,
+         const std::string &name, double fallback = 0.0)
+{
+    recordMetric(records, key, name.c_str(), &fallback);
+    return fallback;
+}
+
+/** One table row per benchmark and one column per cell: the ratio of
+ *  `field` in the record "<figure>/<bench>/<cell>" to the row's `base`
+ *  cell, as a 3-digit number, or as a percent change with `gain` ("n/a"
+ *  where a record is missing or the ratio is not finite).  With
+ *  `average`, a last row holds the column means. */
+void
+printRatioTable(std::ostream &out, const RecordLookup &records,
+                std::vector<std::string> header, const std::string &figure,
+                const std::vector<std::string> &benches,
+                const std::string &base, const std::vector<std::string> &cells,
+                double SimResult::*field, bool gain, bool average)
+{
+    const auto text = [gain](double v) {
+        return gain ? Table::pct(v) : Table::num(v, 3);
+    };
+    Table table(std::move(header));
+    std::vector<Accumulator> means(cells.size());
+    for (const std::string &bench : benches) {
+        const std::string prefix = figure + "/" + bench + "/";
+        const SimResult *b = records.single(prefix + base);
+        std::vector<std::string> row = {bench};
+        for (size_t c = 0; c < cells.size(); ++c) {
+            const SimResult *r = records.single(prefix + cells[c]);
+            const double v =
+                r && b ? r->*field / b->*field - (gain ? 1.0 : 0.0) : NAN;
+            row.push_back(std::isfinite(v) ? text(v) : "n/a");
+            if (std::isfinite(v))
+                means[c].add(v);
+        }
+        table.addRow(row);
+    }
+    if (average) {
+        std::vector<std::string> row = {"AVERAGE"};
+        for (const Accumulator &mean : means)
+            row.push_back(text(mean.mean()));
+        table.addRow(row);
+    }
+    table.print(out);
+}
+
+/** A plain job whose metrics `measure` derives from the benchmark's
+ *  exact RDD as Figs. 1, 5b and 6 plot it: the LLC input of its first
+ *  `accesses` accesses, profiled at the hardware d_max. */
+Job
+rddJob(std::string key, const std::string &bench, uint64_t accesses,
+       void (*measure)(const RddFingerprint &,
+                       std::map<std::string, double> &))
+{
+    Job job;
+    job.key = std::move(key);
+    job.seed = seedFor(bench);
+    job.run = [bench, accesses, measure](const JobContext &ctx) {
+        FingerprintOptions fopt;
+        fopt.accesses = accesses;
+        fopt.warmup = 0;
+        fopt.dMax = 256;
+        JobOutcome outcome;
+        measure(fingerprintBenchmark(bench, ctx.seed, fopt),
+                outcome.metrics);
+        return outcome;
+    };
+    return job;
+}
+
+// fig1_rdd — Fig. 1 / Fig. 5b: RDDs of selected benchmarks and of the
+// three xalancbmk windows.
+
+const std::vector<std::string> kFig1Benches = {
+    "403.gcc", "436.cactusADM", "450.soplex", "464.h264ref", "482.sphinx3"};
+const std::vector<std::string> kFig5bBenches = {
+    "483.xalancbmk.1", "483.xalancbmk.2", "483.xalancbmk.3"};
+
+/** Distances per rendered RDD bucket: 16 buckets up to d_max = 256. */
+constexpr uint32_t kRddBucket = 16;
+
+/** Metric name of the RDD bucket starting at distance `lo`. */
+std::string
+rddBucketMetric(uint32_t lo)
+{
+    char name[32];
+    std::snprintf(name, sizeof name, "rdd:%03u", lo);
+    return name;
+}
+
+/** The RDD as Fig. 1 draws it: bucket sums, the main peak and the
+ *  share of accesses that reuse within d_max. */
+void
+measureRdd(const RddFingerprint &fp, std::map<std::string, double> &m)
+{
+    uint64_t peak = 0;
+    uint32_t peakRd = 1;
+    for (uint32_t d = 1; d <= fp.dMax; ++d) {
+        const uint64_t count = fp.counts[d - 1];
+        if (count > peak) {
+            peak = count;
+            peakRd = d;
+        }
+        m[rddBucketMetric(d - (d - 1) % kRddBucket)] +=
+            static_cast<double>(count);
+    }
+    m["peak_rd"] = peakRd;
+    m["peak_count"] = static_cast<double>(std::max<uint64_t>(peak, 1));
+    m["covered"] = fp.accesses ? static_cast<double>(fp.hitSum()) /
+            static_cast<double>(fp.accesses)
+                               : 0.0;
+}
+
+std::vector<Job>
+buildFig1(const SuiteOptions &options)
+{
+    const uint64_t accesses = scaledConfig(options).accesses;
+    std::vector<Job> jobs;
+    for (const auto *benches : {&kFig1Benches, &kFig5bBenches})
+        for (const std::string &bench : *benches)
+            jobs.push_back(
+                rddJob("fig1/" + bench + "/rdd", bench, accesses, measureRdd));
+    return jobs;
+}
+
+void
+printRdds(std::ostream &out, const RecordLookup &records,
+          const std::vector<std::string> &benches)
+{
+    for (const std::string &bench : benches) {
+        const std::string key = "fig1/" + bench + "/rdd";
+        double peakRd = 0.0;
+        if (!recordMetric(records, key, "peak_rd", &peakRd)) {
+            out << "(skipping " << bench << ": no record)\n\n";
+            continue;
+        }
+        const double peak = metricOr(records, key, "peak_count", 1.0);
+        out << bench << "  (peak RD = " << static_cast<uint32_t>(peakRd)
+            << ", covered <= d_max: "
+            << Table::upct(metricOr(records, key, "covered")) << ")\n";
+        for (uint32_t lo = 1; lo <= 256; lo += kRddBucket) {
+            const double count = metricOr(records, key, rddBucketMetric(lo));
+            const int bar =
+                static_cast<int>(60.0 * count / (peak * kRddBucket));
+            out << "  " << (lo < 100 ? lo < 10 ? "  " : " " : "") << lo
+                << "-" << lo + kRddBucket - 1 << " |"
+                << std::string(bar, '#') << " "
+                << static_cast<uint64_t>(count) << "\n";
+        }
+        out << "\n";
+    }
+}
+
+void
+reportFig1(std::ostream &out, const RecordLookup &records)
+{
+    out << "==== Fig. 1: RDDs of selected benchmarks ====\n\n";
+    printRdds(out, records, kFig1Benches);
+    out << "==== Fig. 5b: RDDs of the three xalancbmk windows ====\n\n";
+    printRdds(out, records, kFig5bBenches);
+    out << "Paper reference: per-benchmark peaks near 32/100 (gcc), ~72 "
+           "(cactusADM), 24/120 (soplex), ~20 (h264ref), ~100 (sphinx3); "
+           "xalancbmk windows peak near 100, 88 and 124/40.\n";
+}
+
+// fig2_epsilon — Fig. 2: DRRIP misses vs the BRRIP epsilon.
+
+const std::vector<std::string> kFig2Benches = {
+    "403.gcc", "436.cactusADM", "464.h264ref", "483.xalancbmk.3"};
+const std::vector<unsigned> kFig2EpsDenoms = {4, 8, 16, 32, 64, 128, 256};
+
+std::vector<Job>
+buildFig2(const SuiteOptions &options)
+{
+    const SimConfig config = scaledConfig(options);
+    std::vector<Job> jobs;
+    for (const std::string &bench : kFig2Benches) {
+        const std::string prefix = "fig2/" + bench + "/";
+        std::vector<PolicyCell> cells;
+        for (unsigned denom : kFig2EpsDenoms)
+            cells.emplace_back(
+                prefix + "DRRIP-eps:" + std::to_string(denom),
+                [denom] { return makeDrrip(1.0 / denom); });
+        emitCells(&jobs, options, prefix, bench, std::move(cells), config);
+    }
+    return jobs;
+}
+
+void
+reportFig2(std::ostream &out, const RecordLookup &records)
+{
+    out << "==== Fig. 2: DRRIP MPKI vs epsilon (normalized to "
+           "eps=1/32) ====\n\n";
+    std::vector<std::string> header = {"benchmark"}, cells;
+    for (unsigned denom : kFig2EpsDenoms) {
+        header.push_back("1/" + std::to_string(denom));
+        cells.push_back("DRRIP-eps:" + std::to_string(denom));
+    }
+    printRatioTable(out, records, header, "fig2", kFig2Benches,
+                    "DRRIP-eps:32", cells, &SimResult::mpki, false, false);
+    out << "\nPaper reference: lower-is-better; cactusADM/xalancbmk "
+           "degrade as epsilon shrinks, gcc/h264ref prefer larger "
+           "epsilon.\n";
+}
+
+// fig5a_occupancy — Fig. 5a: LLC access and occupancy breakdown under
+// DRRIP and the best static SPDP-NB / SPDP-B.  Every lane of the two
+// static-PD grids carries an OccupancyTracker, so the report picks each
+// family's miss-minimizing PD (fig4's choice: same grid, run length and
+// tie-break) without a second decode.
+
+const std::vector<std::string> kFig5aBenches = {"436.cactusADM",
+                                                "464.h264ref"};
+
+/** Occupancy metrics, in OccupancyBreakdown field order. */
+const char *const kOccupancyMetrics[] = {
+    "acc_hit", "acc_bypass", "acc_evict_short", "acc_evict_long",
+    "occ_hit", "occ_evict_short", "occ_evict_long", "max_occupancy"};
+
+/** Lane probe: an OccupancyTracker on the lane's LLC for the whole run;
+ *  its breakdown (raw counts) lands in the record's metrics. */
+LaneReader
+occupancyProbe(Cache &llc)
+{
+    auto tracker = std::make_shared<OccupancyTracker>(llc);
+    llc.setObserver(tracker.get());
+    return [tracker, &llc](std::map<std::string, double> &m) {
+        llc.setObserver(nullptr);
+        const OccupancyBreakdown &b = tracker->breakdown();
+        const uint64_t values[] = {
+            b.hits,          b.bypasses,       b.evictsShort,
+            b.evictsLong,    b.occupancyHits,  b.occupancyShort,
+            b.occupancyLong, b.maxOccupancy};
+        for (size_t i = 0; i < std::size(values); ++i)
+            m[kOccupancyMetrics[i]] = static_cast<double>(values[i]);
+    };
+}
+
+std::vector<Job>
+buildFig5a(const SuiteOptions &options)
+{
+    const SimConfig config = scaledConfig(options, 2'000'000, 800'000);
+    std::vector<Job> jobs;
+    for (const std::string &bench : kFig5aBenches) {
+        const std::string prefix = "fig5a/" + bench + "/";
+        std::vector<PolicyCell> cells;
+        cells.push_back({prefix + "DRRIP", [] { return makePolicy("DRRIP"); },
+                         occupancyProbe});
+        for (uint32_t pd : defaultPdGrid()) {
+            cells.push_back({prefix + "SPDP-NB:" + std::to_string(pd),
+                             [pd] { return makeSpdpNb(pd); }, occupancyProbe});
+            cells.push_back({prefix + "SPDP-B:" + std::to_string(pd),
+                             [pd] { return makeSpdpB(pd); }, occupancyProbe});
+        }
+        jobs.push_back(lockstepSweepJob(prefix + "lockstep", bench,
+                                        std::move(cells), config));
+    }
+    return jobs;
+}
+
+void
+reportFig5a(std::ostream &out, const RecordLookup &records)
+{
+    out << "==== Fig. 5a: access and occupancy breakdown ====\n\n";
+    Table table({"benchmark", "policy", "acc:hit", "acc:bypass",
+                 "acc:evict<=16", "acc:evict>16", "occ:hit",
+                 "occ:evict<=16", "occ:evict>16", "max occupancy"});
+    std::string chosen;
+    for (const std::string &bench : kFig5aBenches) {
+        const std::string prefix = "fig5a/" + bench + "/";
+        const uint32_t pdNb = bestOverPdGrid(records, prefix + "SPDP-NB:").pd;
+        const uint32_t pdB = bestOverPdGrid(records, prefix + "SPDP-B:").pd;
+        chosen += (chosen.empty() ? "" : "; ") + bench + ": NB " +
+            std::to_string(pdNb) + ", B " + std::to_string(pdB);
+        const std::pair<const char *, std::string> rows[] = {
+            {"DRRIP", prefix + "DRRIP"},
+            {"SPDP-NB", prefix + "SPDP-NB:" + std::to_string(pdNb)},
+            {"SPDP-B", prefix + "SPDP-B:" + std::to_string(pdB)}};
+        for (const auto &[label, key] : rows) {
+            double v[std::size(kOccupancyMetrics)];
+            bool have = true;
+            for (size_t i = 0; i < std::size(kOccupancyMetrics); ++i)
+                have = recordMetric(records, key, kOccupancyMetrics[i],
+                                    &v[i]) && have;
+            if (!have) {
+                out << "(skipping " << key << ": no record)\n";
+                continue;
+            }
+            const double events = v[0] + v[1] + v[2] + v[3];
+            const double occ = v[4] + v[5] + v[6];
+            std::vector<std::string> row = {bench, label};
+            for (size_t i = 0; i < 7; ++i) {
+                const double total = i < 4 ? events : occ;
+                row.push_back(Table::upct(total > 0 ? v[i] / total : 0.0));
+            }
+            row.push_back(std::to_string(static_cast<uint64_t>(v[7])));
+            table.addRow(row);
+        }
+    }
+    table.print(out);
+    out << "\nSPDP rows use each benchmark's best static PD over the "
+           "fig4_static_pdp grid and run length (" << chosen << ").\n"
+        << "\nPaper reference: PDP removes the long-eviction occupancy "
+           "(no lines beyond ~90 accesses) and SPDP-B bypasses the bulk "
+           "of h264ref's misses.\n";
+}
+
+// fig6_model — Fig. 6: the hit-rate model E(d_p), evaluated on each
+// benchmark's exact RDD, against SPDP-B's measured hit rate over a PD
+// grid (one lockstep group per benchmark).
+
+const std::vector<std::string> kFig6Benches = {
+    "403.gcc",     "436.cactusADM",   "464.h264ref",
+    "482.sphinx3", "483.xalancbmk.2", "450.soplex"};
+const std::vector<uint32_t> kFig6Pds = {16,  32,  48,  64,  80,  96,
+                                        112, 128, 160, 192, 224, 256};
+
+/** E(d_p) over the exact RDD folded into the hardware counter array
+ *  (S_c = 4, counts scaled so none saturates): its maximum, argmax and
+ *  value at every grid PD. */
+void
+measureHitRateModel(const RddFingerprint &fp, std::map<std::string, double> &m)
+{
+    RdCounterArray rdd(fp.dMax, 4);
+    const uint64_t scale = std::max<uint64_t>(1, fp.accesses / 40000);
+    for (uint32_t k = 0; k < rdd.numBuckets(); ++k) {
+        uint64_t count = 0;
+        for (uint32_t d = k * 4 + 1; d <= (k + 1) * 4; ++d)
+            count += fp.counts[d - 1];
+        rdd.addBucket(k, count / scale, 0);
+    }
+    rdd.addBucket(0, 0, fp.accesses / scale);
+    const std::vector<EPoint> curve = HitRateModel(16).curve(rdd);
+
+    double eMax = 0.0;
+    uint32_t eArg = 0;
+    for (const EPoint &p : curve)
+        if (p.e > eMax) {
+            eMax = p.e;
+            eArg = p.dp;
+        }
+    m["e_max"] = eMax;
+    m["e_argmax"] = eArg;
+    for (uint32_t pd : kFig6Pds) {
+        double e = 0.0;
+        for (const EPoint &p : curve)
+            if (p.dp <= pd)
+                e = p.e;
+        m["e:" + std::to_string(pd)] = e;
+    }
+}
+
+std::vector<Job>
+buildFig6(const SuiteOptions &options)
+{
+    const SimConfig config = scaledConfig(options, 1'500'000, 600'000);
+    std::vector<Job> jobs;
+    for (const std::string &bench : kFig6Benches) {
+        const std::string prefix = "fig6/" + bench + "/";
+        jobs.push_back(rddJob(prefix + "model", bench, config.accesses,
+                              measureHitRateModel));
+        std::vector<PolicyCell> cells;
+        for (uint32_t pd : kFig6Pds)
+            cells.emplace_back(prefix + "SPDP-B:" + std::to_string(pd),
+                               [pd] { return makeSpdpB(pd); });
+        emitCells(&jobs, options, prefix, bench, std::move(cells), config);
+    }
+    return jobs;
+}
+
+void
+reportFig6(std::ostream &out, const RecordLookup &records)
+{
+    out << "==== Fig. 6: E(d_p) vs the actual hit rate ====\n\n";
+    for (const std::string &bench : kFig6Benches) {
+        const std::string prefix = "fig6/" + bench + "/";
+        double eMax = 0.0;
+        if (!recordMetric(records, prefix + "model", "e_max", &eMax)) {
+            out << "(skipping " << bench << ": no model record)\n\n";
+            continue;
+        }
+        std::vector<double> measured;
+        double hrMax = 0.0;
+        uint32_t hrArg = 0;
+        for (uint32_t pd : kFig6Pds) {
+            const SimResult *r =
+                records.single(prefix + "SPDP-B:" + std::to_string(pd));
+            measured.push_back(r && r->llcAccesses
+                                   ? static_cast<double>(r->llcHits) /
+                                       static_cast<double>(r->llcAccesses)
+                                   : 0.0);
+            if (measured.back() > hrMax) {
+                hrMax = measured.back();
+                hrArg = pd;
+            }
+        }
+        out << bench << "  (argmax E = "
+            << static_cast<uint32_t>(
+                   metricOr(records, prefix + "model", "e_argmax"))
+            << ", argmax hit rate = " << hrArg << ")\n";
+        Table table({"d_p", "E(d_p)/max", "hitrate/max"});
+        for (size_t i = 0; i < kFig6Pds.size(); ++i) {
+            const double e = metricOr(records, prefix + "model",
+                                      "e:" + std::to_string(kFig6Pds[i]));
+            table.addRow({std::to_string(kFig6Pds[i]),
+                          Table::num(eMax > 0 ? e / eMax : 0.0, 3),
+                          Table::num(hrMax > 0 ? measured[i] / hrMax : 0.0,
+                                     3)});
+        }
+        table.print(out);
+        out << "\n";
+    }
+    out << "Paper reference: the two argmax positions should fall in the "
+           "same RDD region and the normalized shapes should track each "
+           "other near the optimum.\n";
+}
+
+// fig9_params — Fig. 9: the RD sampler's size (Full vs the 32-FIFO
+// "Real") and the counter step S_c, as dynamic-PDP lanes.
+
+struct SamplerVariant
+{
+    const char *label;
+    const char *cell;
+    bool full;
+    uint32_t step;
+};
+
+const std::vector<SamplerVariant> kFig9Variants = {
+    {"Full Sc=1", "Full-Sc1", true, 1}, {"Real Sc=1", "Real-Sc1", false, 1},
+    {"Real Sc=2", "Real-Sc2", false, 2}, {"Real Sc=4", "Real-Sc4", false, 4},
+    {"Real Sc=8", "Real-Sc8", false, 8}};
+
+std::vector<Job>
+buildFig9(const SuiteOptions &options)
+{
+    const SimConfig config = scaledConfig(options, 2'000'000, 800'000);
+    const uint32_t sets = config.hierarchy.llc.numSets();
+    std::vector<Job> jobs;
+    for (const std::string &bench : SpecSuite::singleCoreNames()) {
+        const std::string prefix = "fig9/" + bench + "/";
+        std::vector<PolicyCell> cells;
+        for (const SamplerVariant &v : kFig9Variants)
+            cells.emplace_back(prefix + v.cell, [v, sets] {
+                PdpParams params;
+                params.counterStep = v.step;
+                if (v.full)
+                    params.sampler = RdSamplerParams::full(sets);
+                return std::make_unique<PdpPolicy>(params);
+            });
+        emitCells(&jobs, options, prefix, bench, std::move(cells), config);
+    }
+    return jobs;
+}
+
+void
+reportFig9(std::ostream &out, const RecordLookup &records)
+{
+    out << "==== Fig. 9: PDP parameter exploration (MPKI normalized to "
+           "Full, S_c=1) ====\n\n";
+    std::vector<std::string> header = {"benchmark"}, cells;
+    for (const SamplerVariant &v : kFig9Variants) {
+        header.push_back(v.label);
+        cells.push_back(v.cell);
+    }
+    printRatioTable(out, records, header, "fig9",
+                    SpecSuite::singleCoreNames(), "Full-Sc1", cells,
+                    &SimResult::mpki, false, true);
+    out << "\nPaper reference: all columns within a few percent of 1.0; "
+           "the Real sampler tracks Full; S_c=4 is the chosen "
+           "overhead/performance trade-off.\n";
+}
+
+// fig11_phases — Fig. 11: adaptation to program phases on the phased
+// benchmarks.  One group per benchmark carries (a) the recompute-interval
+// lanes, (b) DIP, DRRIP and PDP-8, and (c) PDP-8's PD series (PDP-8 is
+// the paper's default PdpParams, 512K-access interval).
+
+const std::vector<std::pair<const char *, uint64_t>> kFig11Intervals = {
+    {"256K", 256 * 1024}, {"1M", 1u << 20}, {"2M", 2u << 20},
+    {"4M", 4u << 20},     {"8M", 8u << 20}};
+
+/** Metric name of the i-th sample of a PD series. */
+std::string
+pdSampleMetric(size_t i)
+{
+    char name[32];
+    std::snprintf(name, sizeof name, "pd:%04zu", i);
+    return name;
+}
+
+/** Lane probe: a dynamic PDP lane's PD series, one sample per
+ *  recomputation. */
+LaneReader
+pdHistoryProbe(Cache &llc)
+{
+    return [&llc](std::map<std::string, double> &m) {
+        const std::vector<PdSample> &history =
+            dynamic_cast<const PdpPolicy &>(llc.policy()).pdHistory();
+        m["pd_samples"] = static_cast<double>(history.size());
+        for (size_t i = 0; i < history.size(); ++i)
+            m[pdSampleMetric(i)] = history[i].pd;
+    };
+}
+
+std::vector<Job>
+buildFig11(const SuiteOptions &options)
+{
+    // Phased benchmarks cycle with periods of 1.5M-2.5M accesses; run
+    // long enough to see several phase transitions.
+    const SimConfig config = scaledConfig(options, 6'000'000, 1'000'000);
+    std::vector<Job> jobs;
+    for (const std::string &bench : SpecSuite::phasedNames()) {
+        const std::string prefix = "fig11/" + bench + "/";
+        std::vector<PolicyCell> cells;
+        for (const auto &[label, interval] : kFig11Intervals)
+            cells.emplace_back(prefix + "interval:" + label, [interval] {
+                PdpParams params;
+                params.recomputeInterval = interval;
+                return std::make_unique<PdpPolicy>(params);
+            });
+        for (const char *policy : {"DIP", "DRRIP"})
+            cells.emplace_back(prefix + policy,
+                               [policy] { return makePolicy(policy); });
+        cells.push_back({prefix + "PDP-8", [] { return makePolicy("PDP-8"); },
+                         pdHistoryProbe});
+        jobs.push_back(lockstepSweepJob(prefix + "lockstep", bench,
+                                        std::move(cells), config));
+    }
+    return jobs;
+}
+
+void
+reportFig11(std::ostream &out, const RecordLookup &records)
+{
+    out << "==== Fig. 11a: PD recompute interval (IPC normalized to the "
+           "256K interval) ====\n\n";
+    std::vector<std::string> header = {"benchmark"}, cells;
+    for (const auto &[label, interval] : kFig11Intervals) {
+        header.push_back(label);
+        cells.push_back(std::string("interval:") + label);
+    }
+    printRatioTable(out, records, header, "fig11", SpecSuite::phasedNames(),
+                    cells.front(), cells, &SimResult::ipc, false, false);
+
+    out << "\n==== Fig. 11b: policies on the phased benchmarks (IPC vs "
+           "DIP) ====\n\n";
+    printRatioTable(out, records, {"benchmark", "DRRIP", "PDP-8"}, "fig11",
+                    SpecSuite::phasedNames(), "DIP", {"DRRIP", "PDP-8"},
+                    &SimResult::ipc, true, false);
+
+    out << "\n==== Fig. 11c: PD over time (one sample per "
+           "recomputation) ====\n\n";
+    for (const std::string &bench : SpecSuite::phasedNames()) {
+        const std::string key = "fig11/" + bench + "/PDP-8";
+        out << bench << ": ";
+        const auto samples =
+            static_cast<size_t>(metricOr(records, key, "pd_samples"));
+        for (size_t i = 0; i < samples; ++i)
+            out << static_cast<uint32_t>(
+                       metricOr(records, key, pdSampleMetric(i)))
+                << " ";
+        out << "\n";
+    }
+    out << "\nPaper reference: the PD series flips between the phases' "
+           "distinct values; long reset intervals blur the phases and "
+           "lose IPC.\n";
+}
+
+// prefetch — Sec. 6.5: prefetch-aware PDP.  A stream prefetcher on the
+// shared front end fills every lane: prefetch-unaware DRRIP and PDP-8,
+// and PDP-8 with prefetched lines inserted at PD = 1 or bypassed.
+
+const std::vector<std::pair<const char *, PdpParams::PrefetchMode>>
+    kPrefetchModes = {{"PDP-8", PdpParams::PrefetchMode::Normal},
+                      {"PDP-8:pf-PD1", PdpParams::PrefetchMode::InsertPdOne},
+                      {"PDP-8:pf-bypass", PdpParams::PrefetchMode::Bypass}};
+
+std::vector<Job>
+buildPrefetch(const SuiteOptions &options)
+{
+    const SimConfig config = scaledConfig(options);
+    std::vector<Job> jobs;
+    for (const std::string &bench : SpecSuite::singleCoreNames()) {
+        const std::string prefix = "prefetch/" + bench + "/";
+        std::vector<PolicyCell> cells;
+        cells.emplace_back(prefix + "DRRIP",
+                           [] { return makePolicy("DRRIP"); });
+        for (const auto &[cell, mode] : kPrefetchModes)
+            cells.emplace_back(prefix + cell, [mode] {
+                PdpParams params;
+                params.prefetchMode = mode;
+                return std::make_unique<PdpPolicy>(params);
+            });
+        jobs.push_back(lockstepSweepJob(prefix + "lockstep", bench,
+                                        std::move(cells), config,
+                                        /*prefetcher=*/true));
+    }
+    return jobs;
+}
+
+void
+reportPrefetch(std::ostream &out, const RecordLookup &records)
+{
+    out << "==== Sec. 6.5: prefetch-aware PDP (IPC vs prefetching "
+           "DRRIP) ====\n\n";
+    std::vector<std::string> cells;
+    for (const auto &[cell, mode] : kPrefetchModes)
+        cells.push_back(cell);
+    printRatioTable(out, records,
+                    {"benchmark", "PDP-8", "PDP-8 pf->PD=1",
+                     "PDP-8 pf-bypass"},
+                    "prefetch", SpecSuite::singleCoreNames(), "DRRIP", cells,
+                    &SimResult::ipc, true, true);
+    out << "\nPaper reference: aware variants >= unaware PDP >= DRRIP "
+           "under prefetching.\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -1864,15 +2533,39 @@ const std::vector<Suite> &
 allSuites()
 {
     static const std::vector<Suite> suites = {
+        {"fig1_rdd",
+         "Fig. 1 + Fig. 5b: exact RDDs of selected benchmarks and of the "
+         "three xalancbmk windows",
+         buildFig1, reportFig1},
+        {"fig2_epsilon", "Fig. 2: DRRIP misses vs the BRRIP epsilon",
+         buildFig2, reportFig2},
+        {"fig4_static_pdp",
+         "Fig. 4 + Table 2: best-eps DRRIP vs static PDP (PD grids), and "
+         "the distribution of optimal PDs",
+         buildFig4, reportFig4},
+        {"fig5a_occupancy",
+         "Fig. 5a: LLC access/occupancy breakdown, DRRIP vs best static "
+         "SPDP-NB/SPDP-B",
+         buildFig5a, reportFig5a},
+        {"fig6_model", "Fig. 6: the hit-rate model E(d_p) vs the measured "
+         "hit rate",
+         buildFig6, reportFig6},
+        {"fig9_params",
+         "Fig. 9: RD sampler size (Full vs Real) and counter step S_c",
+         buildFig9, reportFig9},
         {"fig10_single_core",
          "Fig. 10: single-core replacement/bypass policies vs DIP",
          buildFig10, reportFig10},
-        {"fig4_static_pdp",
-         "Fig. 4: best-eps DRRIP vs static PDP (64+-point PD grids)",
-         buildFig4, reportFig4},
+        {"fig11_phases",
+         "Fig. 11: PD recompute interval, policies and PD over time on the "
+         "phased benchmarks",
+         buildFig11, reportFig11},
         {"fig12_partitioning",
          "Fig. 12: 4-/16-core shared-cache partitioning vs TA-DRRIP",
          buildFig12, reportFig12},
+        {"prefetch",
+         "Sec. 6.5: prefetch-aware PDP under a stream prefetcher",
+         buildPrefetch, reportPrefetch},
         {"hotpath",
          "cache-substrate throughput (SoA vs frozen AoS reference)",
          buildHotpath, reportHotpath},

@@ -10,9 +10,9 @@
  * the figure's text tables — identical output no matter how many workers
  * ran the grid.
  *
- * The bench binaries (bench/bench_fig10_single_core.cpp, ...) are thin
- * mains over runSuite(); tools/run_experiments lists/filters/runs suites
- * by name.
+ * Every paper artifact the simulator reproduces is a suite here, and
+ * tools/run_experiments (which lists, filters and runs suites by name)
+ * is the one way to run one.
  */
 
 #ifndef PDP_RUNNER_SUITES_H
@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "cache/cache.h"
 #include "policies/replacement_policy.h"
 #include "runner/job.h"
 #include "runner/results_sink.h"
@@ -126,9 +127,10 @@ struct Suite
     std::function<void(std::ostream &, const RecordLookup &)> report;
 };
 
-/** Registry of all suites (fig10_single_core, fig4_static_pdp,
- *  fig12_partitioning, hotpath, smoke, service, model_validation,
- *  explore). */
+/** Registry of all suites: the paper artifacts (fig1_rdd, fig2_epsilon,
+ *  fig4_static_pdp with Table 2, fig5a_occupancy, fig6_model,
+ *  fig9_params, fig10_single_core, fig11_phases, fig12_partitioning,
+ *  prefetch) and hotpath, smoke, service, model_validation, explore. */
 const std::vector<Suite> &allSuites();
 
 /** Lookup by name; nullptr when unknown. */
@@ -171,20 +173,36 @@ Job serviceJob(std::string key, std::vector<TenantSpec> tenants,
                std::string policySpec, const ServiceConfig &config,
                uint64_t seed);
 
+/** Fills a lockstep lane's record metrics after the run. */
+using LaneReader = std::function<void(std::map<std::string, double> &)>;
+
+/** Extras a lockstep lane reports besides its SimResult: called on the
+ *  lane's LLC before the decode (to attach an observer), it returns the
+ *  lane's reader. */
+using LaneProbe = std::function<LaneReader(Cache &)>;
+
+/** One lane of a lockstep sweep: its record key, its policy and any
+ *  per-lane extras. */
+struct PolicyCell
+{
+    std::string key;
+    std::function<std::unique_ptr<ReplacementPolicy>()> makePolicy;
+    /** Empty: the record carries the SimResult alone. */
+    LaneProbe probe;
+};
+
 /**
- * One schedulable lockstep sweep: every (key, policy factory) cell of
- * `cells` simulated over ONE decode of `benchmark`
- * (sim/lockstep_sweep.h), producing one keyed record per cell in cell
- * order — byte-identical to the equivalent singleCoreJobs, telemetry
- * and audit results included.  The job is wide (Job::wide): it runs
- * alone and fans its cells out over JobContext::threads.
+ * One schedulable lockstep sweep: every cell of `cells` simulated over
+ * ONE decode of `benchmark` (sim/lockstep_sweep.h) on LLCs the job
+ * builds, producing one keyed record per cell in cell order —
+ * byte-identical to the equivalent singleCoreJobs, telemetry and audit
+ * results included.  With `prefetcher` a StreamPrefetcher on the shared
+ * front end fills every lane (Sec. 6.5).  The job is wide (Job::wide):
+ * it runs alone and fans its cells out over JobContext::threads.
  */
-Job lockstepSweepJob(
-    std::string key, std::string benchmark,
-    std::vector<std::pair<
-        std::string, std::function<std::unique_ptr<ReplacementPolicy>()>>>
-        cells,
-    const SimConfig &config);
+Job lockstepSweepJob(std::string key, std::string benchmark,
+                     std::vector<PolicyCell> cells, const SimConfig &config,
+                     bool prefetcher = false);
 
 } // namespace runner
 } // namespace pdp

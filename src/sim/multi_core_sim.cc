@@ -3,6 +3,7 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <tuple>
 
 #include "partition/pdp_partition.h"
 #include "partition/pipp.h"
@@ -40,17 +41,20 @@ makeSharedPolicy(const std::string &spec, unsigned threads)
 double
 standaloneIpc(const std::string &benchmark, const MultiCoreConfig &config)
 {
-    // Memoize per (benchmark, core count, run length).  This is the one
-    // piece of cross-job shared state the experiment runner's workers
-    // may reach concurrently, so the map is mutex-guarded.  The baseline
-    // run itself happens outside the lock: two workers racing on the
-    // same key at worst duplicate a deterministic computation and insert
-    // the identical value, which keeps results independent of worker
-    // count.
-    using Key = std::tuple<std::string, unsigned, uint64_t>;
+    // Memoize per baseline run: every config field the run below reads
+    // is in the key, so two configs that differ in any of them never
+    // share a baseline.  This is the one piece of cross-job shared state
+    // the experiment runner's workers may reach concurrently, so the map
+    // is mutex-guarded.  The baseline run itself happens outside the
+    // lock: two workers racing on the same key at worst duplicate a
+    // deterministic computation and insert the identical value, which
+    // keeps results independent of worker count.
+    using Key =
+        std::tuple<std::string, unsigned, uint64_t, uint64_t, TimingParams>;
     static std::mutex mutex;
     static std::map<Key, double> cache;
-    const Key key{benchmark, config.cores, config.accessesPerThread};
+    const Key key{benchmark, config.cores, config.accessesPerThread,
+                  config.warmupPerThread, config.timing};
     {
         std::lock_guard<std::mutex> lock(mutex);
         if (auto it = cache.find(key); it != cache.end())

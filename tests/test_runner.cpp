@@ -450,8 +450,9 @@ TEST(ResultsSink, WriteFileAndEnvKnob)
 TEST(Suites, RegistryHasThePortedFiguresAndUniqueJobKeys)
 {
     for (const char *name :
-         {"fig10_single_core", "fig4_static_pdp", "fig12_partitioning",
-          "smoke"}) {
+         {"fig1_rdd", "fig2_epsilon", "fig4_static_pdp", "fig5a_occupancy",
+          "fig6_model", "fig9_params", "fig10_single_core", "fig11_phases",
+          "fig12_partitioning", "prefetch", "smoke"}) {
         const Suite *suite = findSuite(name);
         ASSERT_NE(suite, nullptr) << name;
         SuiteOptions options;

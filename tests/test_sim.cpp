@@ -179,6 +179,23 @@ TEST(MultiCoreSim, ZeroAccessBudgetReturns)
     EXPECT_EQ(r.throughput, 0.0);
 }
 
+TEST(MultiCoreSim, StandaloneBaselineIsKeyedOnEveryRunField)
+{
+    // Same benchmark, cores and run length; only the warmup and the
+    // memory latency differ, so the memoized baselines must too.
+    MultiCoreConfig config;
+    config.cores = 2;
+    config.accessesPerThread = 30'000;
+    config.warmupPerThread = 1'000;
+    const double first = standaloneIpc("429.mcf", config);
+    config.warmupPerThread = 100'000;
+    config.timing.memLatency = 400;
+    const double second = standaloneIpc("429.mcf", config);
+    EXPECT_GT(first, 0.0);
+    EXPECT_GT(second, 0.0);
+    EXPECT_NE(first, second);
+}
+
 TEST(StreamPrefetcher, DetectsAscendingStream)
 {
     StreamPrefetcher prefetcher;

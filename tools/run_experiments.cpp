@@ -1,7 +1,9 @@
 /**
  * @file
  * run_experiments — list, filter and run named experiment suites on the
- * parallel experiment runner (src/runner/).
+ * parallel experiment runner (src/runner/).  It is the one way to run a
+ * simulated paper artifact: every figure and table is a suite (`--list`
+ * names them; Table 2 is a section of fig4_static_pdp).
  *
  * Usage:
  *   run_experiments --list
@@ -14,12 +16,17 @@
  *                   [--tenants N] [--churn N] [--deterministic-json]
  *                   [--explore] [--explore-topk N]
  *
- * The sweep suites (fig4, fig10, exhaustive explore) run each
- * benchmark's policy grid as one wide job over a single trace decode,
- * on every worker, with --telemetry/--trace observers in the lanes; a
- * --filter naming cells rather than a benchmark's "<prefix>lockstep"
- * group narrows the group to those cells, and --perf-counters runs one
- * single-lane job per cell.  Records are byte-identical either way.
+ * The sweep suites (fig2, fig4, fig6, fig9, fig10, exhaustive explore)
+ * run each benchmark's policy grid as one wide job over a single trace
+ * decode, on every worker, with --telemetry/--trace observers in the
+ * lanes; a --filter naming cells rather than a benchmark's
+ * "<prefix>lockstep" group narrows the group to those cells, and
+ * --perf-counters runs one single-lane job per cell.  Records are
+ * byte-identical either way.  fig5a, fig11 and prefetch run one such
+ * group per benchmark whose lanes also carry an occupancy tracker, the
+ * PD history or a prefetching front end (a --filter selects whole
+ * groups there); fig1 and fig6's model side are one RDD fingerprint
+ * job per benchmark.
  *
  * --telemetry records per-epoch policy snapshots (PD, RDD, PSEL,
  * partition allocations, interval hit rates) into each job's results;
@@ -54,8 +61,9 @@
  * byte-compare across worker counts (CI's service-smoke identity
  * check).
  *
- * Defaults come from the same environment knobs the bench binaries use:
- * PDP_BENCH_SCALE, PDP_BENCH_JOBS, PDP_BENCH_VERBOSE, PDP_BENCH_JSON.
+ * Defaults come from environment knobs, which the flags override:
+ * PDP_BENCH_SCALE (--scale), PDP_BENCH_JOBS (--jobs),
+ * PDP_BENCH_VERBOSE=1 (--verbose) and PDP_BENCH_JSON (--json).
  * Exit code is the number of jobs that did not finish Ok plus the
  * number of result files that could not be written (2 for usage
  * errors), so CI can gate on it.
@@ -64,15 +72,68 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
 #include "runner/suites.h"
 #include "util/parse.h"
 
 namespace
 {
+
+/**
+ * Run-length scale factor from PDP_BENCH_SCALE.  Strict whole-string
+ * parse (util/parse.h): a malformed, non-positive or absurd value
+ * terminates the run instead of silently running at scale 1.0 — a
+ * typo'd scale would otherwise burn minutes producing the wrong
+ * experiment.
+ */
+double
+envScale()
+{
+    const char *env = std::getenv("PDP_BENCH_SCALE");
+    if (!env || env[0] == '\0')
+        return 1.0;
+    const std::optional<double> value = pdp::parseDouble(env);
+    // !(value > 0) also rejects NaN; the upper bound rejects scales
+    // that could only be typos.
+    if (!value || !(*value > 0.0) || *value > 1e9) {
+        std::fprintf(stderr,
+                     "error: invalid PDP_BENCH_SCALE=\"%s\" (want a "
+                     "positive number)\n",
+                     env);
+        std::exit(2);
+    }
+    return *value;
+}
+
+/** Worker threads from PDP_BENCH_JOBS (0/unset = hardware concurrency,
+ *  resolved by the executor).  Strict whole-string parse: garbage
+ *  terminates the run instead of silently meaning "all cores". */
+unsigned
+envJobs()
+{
+    const char *env = std::getenv("PDP_BENCH_JOBS");
+    if (!env || env[0] == '\0')
+        return 0;
+    const std::optional<unsigned long> value = pdp::parseUnsigned(env);
+    if (!value || *value > 4096) {
+        std::fprintf(stderr,
+                     "error: invalid PDP_BENCH_JOBS=\"%s\" (want an "
+                     "integer in [0, 4096])\n",
+                     env);
+        std::exit(2);
+    }
+    return static_cast<unsigned>(*value);
+}
+
+bool
+envVerbose()
+{
+    const char *env = std::getenv("PDP_BENCH_VERBOSE");
+    return env && env[0] == '1';
+}
 
 void
 printUsage(std::FILE *to)
@@ -135,9 +196,9 @@ int
 main(int argc, char **argv)
 {
     pdp::runner::SuiteOptions options;
-    options.scale = pdpbench::benchScale();
-    options.workers = pdpbench::benchJobs();
-    options.verbose = pdpbench::benchVerbose();
+    options.scale = envScale();
+    options.workers = envJobs();
+    options.verbose = envVerbose();
 
     std::vector<std::string> suites;
     bool list = false;
